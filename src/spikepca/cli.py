@@ -164,14 +164,13 @@ def _cmd_rescale(args) -> int:
 def _cmd_jackknife(args) -> int:
     X = _load_matrix(args.matrix, args.orientation, min_samples=4)
     estimate = jackknife_shrinkage(X, _MODE_CHOICES[args.mode], args.pc)
-    model = fit(X, mode=_MODE_CHOICES[args.mode], k=args.pc)
     lines = [
         "pc,jackknife,plugin_shrinkage,used,excluded",
         ",".join(
             [
                 str(args.pc),
                 _fmt(estimate.value),
-                _fmt(model.shrinkage[args.pc - 1]),
+                _fmt(estimate.plugin),
                 str(estimate.used),
                 str(estimate.excluded),
             ]

@@ -70,6 +70,24 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
+def descending_eigh(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of a symmetric matrix under the package's rank rule.
+
+    Returns (d, V, k_eff): eigenvalues in non-increasing order (stable
+    for ties) with those below RANK_TOL * d_1 clamped to zero, the
+    eigenvectors as columns in the same order, and k_eff = min(k,
+    numerical rank). Raises DegenerateMatrix when the rank is zero.
+    """
+    w, V = np.linalg.eigh(M)
+    order = np.argsort(w, kind="stable")[::-1]
+    d = w[order]
+    d = np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
+    k_eff = min(k, int(np.count_nonzero(d > 0)))
+    if k_eff == 0:
+        raise DegenerateMatrix("matrix has no positive eigenvalues")
+    return d, V[:, order], k_eff
+
+
 def sample_eigen(X: DataMatrix, k: int) -> SampleEigen:
     """Leading eigenpairs of the sample covariance of X.
 
@@ -86,27 +104,10 @@ def sample_eigen(X: DataMatrix, k: int) -> SampleEigen:
         raise DegenerateMatrix("cannot decompose an all-zero matrix")
 
     if p <= n:
-        S = A @ A.T / n
-        w, V = np.linalg.eigh(S)
-        order = np.argsort(w, kind="stable")[::-1]
-        d = w[order]
-        vectors = V[:, order]
+        d, V, k_eff = descending_eigh(A @ A.T / n, k)
+        U = np.array(V[:, :k_eff])
     else:
-        G = A.T @ A / n
-        w, H = np.linalg.eigh(G)
-        order = np.argsort(w, kind="stable")[::-1]
-        d = w[order]
-        vectors = None  # built lazily from the Gram eigenvectors below
-        H = H[:, order]
-
-    d = np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
-    k_eff = min(k, int(np.count_nonzero(d > 0)))
-    if k_eff == 0:
-        raise DegenerateMatrix("matrix has no positive eigenvalues")
-
-    if p <= n:
-        U = np.array(vectors[:, :k_eff])
-    else:
+        d, H, k_eff = descending_eigh(A.T @ A / n, k)
         U = A @ (H[:, :k_eff] / np.sqrt(n * d[:k_eff]))
     U = _fix_signs(np.ascontiguousarray(U))
     return SampleEigen(d=d, U=U, gamma=p / n)

@@ -105,26 +105,50 @@ def _parse_csv(path) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise EmptyInput(f"{path} contains no data")
+    start = 1 if _is_header(lines[0]) else 0
+    if start == len(lines):
+        raise EmptyInput(f"{path} contains a header but no data rows")
+    arr = _parse_clean(lines[start:])
+    return arr if arr is not None else _scan_csv(lines, start)
 
-    def try_row(cells):
-        out = []
-        for cell in cells:
-            try:
-                out.append(float(cell))
-            except ValueError:
+
+def _is_header(line: str) -> bool:
+    """A header row is one where no cell parses as a number; a row with
+    a mix of numeric and non-numeric cells is an error, not a header."""
+    for cell in line.split(","):
+        try:
+            float(cell)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
+def _parse_clean(lines: list) -> np.ndarray | None:
+    """Fast path for rectangular, all-finite data rows.
+
+    Converts with float(), as the scanner does, so the same cells parse
+    to the same doubles. Returns None on anything else (a ragged row, a
+    bad or non-finite cell), leaving the scanner to find and report the
+    first bad cell.
+    """
+    width = lines[0].count(",") + 1
+    arr = np.empty((len(lines), width))
+    try:
+        for i, line in enumerate(lines):
+            cells = line.split(",")
+            if len(cells) != width:
                 return None
-        return out
+            arr[i] = list(map(float, cells))
+    except ValueError:
+        return None
+    return arr if np.isfinite(arr).all() else None
 
+
+def _scan_csv(lines: list, start: int) -> np.ndarray:
+    """Cell-by-cell parse of the non-blank lines of a CSV file from
+    ``lines[start]`` on; raises ParseError at the first bad cell."""
     rows = []
-    start = 0
-    first = [c.strip() for c in lines[0].split(",")]
-    # A header row is one where no cell parses as a number; a row with a
-    # mix of numeric and non-numeric cells is an error, not a header.
-    if try_row(first) is None and all(try_row([c]) is None for c in first):
-        start = 1
-        if len(lines) == 1:
-            raise EmptyInput(f"{path} contains a header but no data rows")
-
     width = None
     for idx in range(start, len(lines)):
         cells = [c.strip() for c in lines[idx].split(",")]

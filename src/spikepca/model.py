@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SampleEigen, pc_scores, sample_eigen
+from .eigen import SampleEigen, descending_eigh, pc_scores, sample_eigen
 from .errors import (
     DegenerateRegressor,
     DimensionError,
@@ -201,11 +201,16 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
 
 @dataclass(frozen=True)
 class JackknifeShrinkage:
-    """Leave-one-out shrinkage estimate with its replicate accounting."""
+    """Leave-one-out shrinkage estimate with its replicate accounting.
+
+    ``plugin`` is the asymptotic (plug-in) shrinkage factor of the same
+    component from the full-data fit, the value the estimate checks.
+    """
 
     value: float
     used: int
     excluded: int
+    plugin: float
 
 
 def jackknife_shrinkage(
@@ -213,38 +218,48 @@ def jackknife_shrinkage(
 ) -> JackknifeShrinkage:
     """Leave-one-out empirical estimate of the shrinkage factor.
 
-    For each sample j the model is refit (including re-standardization)
-    on the other n-1 columns and the held-out column's naive score is
+    For each sample j the model is fit, re-standardization included, to
+    the other n-1 columns and the held-out column's naive score is
     predicted. The estimate is the root of mean squared predicted score
     over mean squared full-data sample score, the same quantity the
-    asymptotic shrinkage factor describes. Replicates whose refit does
+    asymptotic shrinkage factor describes. Replicates whose fit does
     not classify the component as a spike are excluded and counted.
+
+    Modes none and center do not refit: leaving a sample out is a
+    rank-one change of the scatter matrix, so every replicate follows
+    from one Gram (or, for p < n, covariance) product of the
+    standardized matrix plus one eigendecomposition of size
+    min(p, n - 1). The exception is a sample holding nearly all of the
+    scatter, whose replicate is refit. center_scale refits throughout,
+    because its scales change with each left-out sample.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
     if component < 1:
         raise DomainError(f"component must be >= 1, got {component}")
-    full = fit(X, mode, k=component)
+    Xs, _ = standardize(X, mode)
+    # Xs is already standardized, so mode "none" reproduces fit(X, mode)
+    # without standardizing a second time.
+    full = fit(Xs, "none", k=component)
     if component > full.k_spikes:
         raise NotIdentifiable(
             f"component {component} is not a spike in the full-data fit "
             f"(k_spikes={full.k_spikes})"
         )
-    Xs, _ = standardize(X, mode)
     sample_row = pc_scores(Xs, full.eig).scores[component - 1]
     mean_sq_sample = float(np.mean(sample_row**2))
 
+    if mode == "center_scale":
+        replicates = (_refit_one(X, mode, component, j) for j in range(X.n))
+    else:
+        replicates = _downdate_replicates(X, Xs.values, mode, component)
     predicted_sq = []
     excluded = 0
-    for j in range(X.n):
-        sub = DataMatrix(np.delete(X.values, j, axis=1))
-        refit = fit(sub, mode, k=component)
-        if refit.k_spikes < component or refit.k < component:
+    for q in replicates:
+        if q is None:
             excluded += 1
-            continue
-        z = apply_preprocessing(X.values[:, j], refit.prep)
-        q = float(refit.eig.U[:, component - 1] @ z)
-        predicted_sq.append(q * q)
+        else:
+            predicted_sq.append(q * q)
     if not predicted_sq:
         raise NotIdentifiable(
             f"component {component} was a spike in no leave-one-out replicate"
@@ -253,8 +268,82 @@ def jackknife_shrinkage(
         (math.fsum(predicted_sq) / len(predicted_sq)) / mean_sq_sample
     )
     return JackknifeShrinkage(
-        value=value, used=len(predicted_sq), excluded=excluded
+        value=value,
+        used=len(predicted_sq),
+        excluded=excluded,
+        plugin=float(full.shrinkage[component - 1]),
     )
+
+
+def _refit_one(X: DataMatrix, mode: str, component: int, j: int):
+    """Held-out naive score of sample j from a full refit; None if excluded."""
+    refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
+    if refit.k_spikes < component or refit.k < component:
+        return None
+    z = apply_preprocessing(X.values[:, j], refit.prep)
+    return float(refit.eig.U[:, component - 1] @ z)
+
+
+# A replicate whose scatter trace is below this share of the full one is
+# refit: the downdate's rounding error grows with the ratio, and the
+# refit also handles a replicate that standardizes to all zeros.
+DOWNDATE_MIN_SHARE = 1e-3
+
+
+def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int):
+    """Held-out naive scores from one scatter product; None marks an exclusion.
+
+    With A the standardized p x n matrix (columns a_i) and c = 1/(n-1)
+    for center, 0 for none, leaving out sample j standardizes the rest
+    to the columns a_i + c a_j and the held-out sample to
+    z_j = (1 + c) a_j. For p >= n the replicate is decomposed through
+    its Gram matrix G[-j,-j] + c (g 1' + 1 g') + c^2 G_jj, with
+    G = A'A and g = G[-j, j], and the held-out score is
+    h' (1 + c)(g + c G_jj 1) / sqrt((n - 1) d), where the 1 term drops
+    out: under center the replicate's columns sum to zero, so h is
+    orthogonal to 1 (under none, c = 0). For p < n it is
+    decomposed through (n - 1) S_-j = A A' - (1 + c) a_j a_j', which
+    holds because centered columns sum to zero, and the score is
+    u' z_j. Eigenvalues, rank clamp, rescaling and the exclusion rule
+    are those of fit(). A sample that carries nearly all of the scatter
+    would leave a downdate of nearly equal terms; its replicate is
+    refit from X instead.
+    """
+    p, n = A.shape
+    m = n - 1
+    if component > min(p, m):
+        raise DimensionError(f"k must be in [1, {min(p, m)}], got {component}")
+    c = 1.0 / m if mode == "center" else 0.0
+    v = component - 1
+    norms = np.einsum("ij,ij->j", A, A)
+    total = norms.sum()
+    refit = total - (1.0 + c) * norms < DOWNDATE_MIN_SHARE * total
+    gram = p > m
+    M = A.T @ A if gram else A @ A.T
+    keep = np.ones(n, dtype=bool)
+    for j in range(n):
+        if refit[j]:
+            yield _refit_one(X, mode, component, j)
+            continue
+        if gram:
+            keep[j] = False
+            g = M[keep, j]
+            sub = M[np.ix_(keep, keep)]
+            sub += c * (g[:, None] + g[None, :]) + c * c * M[j, j]
+            keep[j] = True
+            d, H, k_eff = descending_eigh(sub / m, component)
+        else:
+            a_j = A[:, j]
+            d, H, k_eff = descending_eigh(
+                (M - (1.0 + c) * np.outer(a_j, a_j)) / m, component
+            )
+        spectrum = rescale_eigenvalues(d, p, m)
+        if spectrum.k < component or k_eff < component:
+            yield None
+        elif gram:
+            yield (1.0 + c) * float(H[:, v] @ g) / math.sqrt(m * d[v])
+        else:
+            yield (1.0 + c) * float(H[:, v] @ a_j)
 
 
 # ---------------------------------------------------------------------------

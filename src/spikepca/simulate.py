@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .eigen import pc_scores
 from .errors import (
@@ -48,6 +47,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """N(0,1) variates via inverse-CDF of strictly interior 53-bit uniforms."""
+    from scipy.special import ndtri
+
     bits = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
     return ndtri((bits.astype(np.float64) + 0.5) * 2.0**-53)
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DegenerateMatrix, DomainError, NotIdentifiable, NumericalError
 
@@ -188,6 +187,8 @@ def trace_gap(x: float, ratios: np.ndarray, p: int, gamma: float) -> float:
 
 def _bisect_normalizer(ratios, p, gamma, hi_start):
     """Root of trace_gap on [p, hi]; None when no bracket can be found."""
+    from scipy import optimize
+
     lo = float(p)
     f_lo = trace_gap(lo, ratios, p, gamma)
     if f_lo <= 0:
@@ -342,6 +343,8 @@ def mp_integral(f, gamma: float, tol: float = 1e-9) -> float:
     the density are removed with the substitution
     x = a + (b - a) sin^2(theta) before adaptive quadrature.
     """
+    from scipy import integrate
+
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     law = MpLaw.from_gamma(gamma)

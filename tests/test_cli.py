@@ -1,5 +1,10 @@
 """Command-line interface: subcommands, exit codes, and output contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,3 +207,22 @@ class TestStdStreams:
         for line in out.strip().splitlines():
             assert "," in line  # stdout is purely tabular
         assert "k_spikes" in err  # diagnostics on stderr
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on first use (quadrature, the rescaling
+        # fallback, normal variates), not by ``import spikepca``
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        code = (
+            "import sys, spikepca; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """CSV ingestion, standardization, and model persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from spikepca import (
     write_matrix,
     write_model,
 )
+from spikepca.matrix_io import _is_header, _parse_clean, _parse_csv, _scan_csv
 
 
 class TestReadMatrix:
@@ -92,6 +95,67 @@ class TestReadMatrix:
         np.testing.assert_array_equal(Y.values, X.values)
         write_matrix(Y, path)
         np.testing.assert_array_equal(read_matrix(path).values, X.values)
+
+
+def scanned(path):
+    """The cell-by-cell scanner's result for a file, or the error it raises."""
+    text = Path(path).read_text()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        return _scan_csv(lines, 1 if _is_header(lines[0]) else 0)
+    except ParseError as exc:
+        return exc
+
+
+class TestParseCsvFastPath:
+    """_parse_csv agrees with the scanner, bit for bit or error for error."""
+
+    FILES = {
+        "padded": " 1.5 ,\t2, 3e-2 \n4 ,5,  -6\n",
+        "blank_lines": "1,2,3\n   \n\t\n4,5,6\n\n",
+        "crlf": "1,2,3\r\n4,5,6\r\n",
+        "header": "s1,s2,s3\n1,2,3\n4,5,6\n",
+        "header_ragged": "s1,s2,s3\n1,2,3\n4,5\n",
+        "header_nan": "s1,s2\n1,2\nnan,4\n",
+        "underscore": "1_0,2,3\n4,5,6\n",
+        "nan": "1,2,3\n4,nan,6\n",
+        "inf": "1,2,-inf\n4,5,6\n",
+        "non_numeric": "1,2,3\n4,x5,6\n",
+        "ragged": "1,2,3\n4,5\n",
+        "long_digits": "0.10000000000000001,1.2345678901234567e-300,3\n4,5,6\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_matches_scanner(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(self.FILES[name].encode())
+        expected = scanned(path)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
+                _parse_csv(path)
+            assert str(err.value) == str(expected)
+            for attr in ("row", "col"):
+                assert getattr(err.value, attr, None) == getattr(expected, attr, None)
+        else:
+            got = _parse_csv(path)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_underscore_cell_parses(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1_0,2\n3,4\n")
+        np.testing.assert_array_equal(_parse_csv(path), [[10.0, 2.0], [3.0, 4.0]])
+
+    def test_clean_rows_take_fast_path(self):
+        lines = ["1,2,3", " 4 , 5 ,6"]
+        np.testing.assert_array_equal(_parse_clean(lines), [[1, 2, 3], [4, 5, 6]])
+        for bad in (["a,b", "1,2"], ["1,2", "3"], ["1,nan"], ["1,"]):
+            assert _parse_clean(bad) is None
+
+    def test_header_detection(self):
+        assert _is_header("s1, s2 ,s3")
+        assert not _is_header("s1,2,s3")
+        assert not _is_header(" 1_0 ,x")
 
 
 class TestDataMatrix:

@@ -7,9 +7,11 @@ import pytest
 
 from spikepca import (
     DataMatrix,
+    DegenerateMatrix,
     DegenerateRegressor,
     DimensionError,
     NotIdentifiable,
+    apply_preprocessing,
     debias_eigenvalue,
     fit,
     jackknife_shrinkage,
@@ -20,6 +22,7 @@ from spikepca import (
     predict,
     sample_eigenvalue_limit,
     shrinkage_factor,
+    standardize,
 )
 from spikepca.model import component_estimates
 from spikepca.simulate import gen_two_spike, standard_normal, substream
@@ -210,6 +213,87 @@ class TestJackknife:
         bad = model.k_spikes + min(40, 20)  # definitely beyond the spikes
         with pytest.raises((NotIdentifiable, DimensionError)):
             jackknife_shrinkage(X, "none", bad)
+
+
+def refit_jackknife(X, mode, component):
+    """The leave-one-out jackknife as n + 1 full refits: (value, used, excluded)."""
+    full = fit(X, mode, k=component)
+    Xs, _ = standardize(X, mode)
+    mean_sq_sample = float(np.mean(pc_scores(Xs, full.eig).scores[component - 1] ** 2))
+    predicted_sq = []
+    for j in range(X.n):
+        refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
+        if refit.k_spikes < component or refit.k < component:
+            continue
+        z = apply_preprocessing(X.values[:, j], refit.prep)
+        predicted_sq.append(float(refit.eig.U[:, component - 1] @ z) ** 2)
+    used = len(predicted_sq)
+    value = math.sqrt(math.fsum(predicted_sq) / used / mean_sq_sample) if used else None
+    return value, used, X.n - used
+
+
+def spiked_matrix(seed, p, n, spike, outlier=1.0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((p, n)) + rng.uniform(-1.0, 1.0, size=(p, 1))
+    X[0] *= spike
+    X[:, 5] *= outlier
+    return DataMatrix(X)
+
+
+class TestJackknifeDowndate:
+    """The downdate path of modes none and center against n + 1 refits."""
+
+    CASES = {
+        "gram": spiked_matrix(1, 300, 40, 6.0),
+        "covariance": spiked_matrix(2, 40, 120, 4.0),
+        "minimal": DataMatrix(np.vstack([
+            20.0 * np.random.default_rng(4).standard_normal(4),
+            0.5 * np.random.default_rng(5).standard_normal((11, 4)),
+        ])),
+        "gram_excluded": spiked_matrix(0, 60, 30, 1.6),
+        "covariance_excluded": spiked_matrix(1, 20, 60, 1.6),
+        # one sample holding nearly all of the scatter is refit, since its
+        # downdate would subtract nearly equal terms
+        "gram_outlier": spiked_matrix(1, 300, 40, 6.0, outlier=1e4),
+        "covariance_outlier": spiked_matrix(2, 40, 120, 4.0, outlier=1e4),
+    }
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_refits(self, case, mode):
+        X = self.CASES[case]
+        value, used, excluded = refit_jackknife(X, mode, 1)
+        estimate = jackknife_shrinkage(X, mode, 1)
+        assert (estimate.used, estimate.excluded) == (used, excluded)
+        assert abs(estimate.value - value) <= 1e-10 * value
+        assert estimate.plugin == fit(X, mode, k=1).shrinkage[0]
+
+    def test_cases_exercise_exclusions(self):
+        assert refit_jackknife(self.CASES["gram_excluded"], "center", 1)[2] > 0
+        assert refit_jackknife(self.CASES["covariance_excluded"], "center", 1)[2] > 0
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_all_zero_replicate_raises_like_refits(self, mode, n):
+        # every sample but the last is zero, so leaving the last one out
+        # leaves nothing to decompose; at n=7 the centered downdate rounds
+        # to a nonzero matrix instead of an exact zero
+        values = np.zeros((12, n))
+        values[:, -1] = np.arange(1.0, 13.0)
+        X = DataMatrix(values)
+        assert fit(X, mode, k=1).k_spikes >= 1
+        with pytest.raises(DegenerateMatrix):
+            refit_jackknife(X, mode, 1)
+        with pytest.raises(DegenerateMatrix):
+            jackknife_shrinkage(X, mode, 1)
+
+    def test_center_scale_still_refits(self):
+        rng = np.random.default_rng(3)
+        factor = np.outer(np.ones(30), 2.0 * rng.standard_normal(20))
+        X = DataMatrix(rng.standard_normal((30, 20)) + factor)
+        value, used, excluded = refit_jackknife(X, "center_scale", 1)
+        estimate = jackknife_shrinkage(X, "center_scale", 1)
+        assert (estimate.value, estimate.used, estimate.excluded) == (value, used, excluded)
 
 
 class TestPcRegression:
