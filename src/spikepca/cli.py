@@ -92,6 +92,8 @@ def _cmd_fit(args) -> int:
         f"tau={model.spectrum.tau:g} converged={model.spectrum.converged}",
         file=sys.stderr,
     )
+    if not model.spectrum.converged:
+        print("warning: rescaling did not converge", file=sys.stderr)
     return 0
 
 

@@ -9,6 +9,7 @@ index) so results are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,29 +89,41 @@ def descending_eigh(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]
     return d, V[:, order], k_eff
 
 
-def sample_eigen(X: DataMatrix, k: int) -> SampleEigen:
+def sample_eigen(X: DataMatrix, k: int | Callable[[np.ndarray], int]) -> SampleEigen:
     """Leading eigenpairs of the sample covariance of X.
 
     Returns all min(p, n) eigenvalues and the first ``k`` eigenvectors
-    (fewer if the numerical rank is smaller). Raises DimensionError for
-    k outside [1, min(p, n)] and DegenerateMatrix for an all-zero X.
+    (fewer if the numerical rank is smaller). ``k`` is an int or a
+    function of the non-increasing eigenvalues returning that int; the
+    function runs after the decomposition and before any eigenvector
+    is built, so callers can choose k from the spectrum. Raises
+    DimensionError for k outside [1, min(p, n)] and DegenerateMatrix
+    for an all-zero X.
     """
     p, n = X.p, X.n
     m = min(p, n)
-    if not 1 <= k <= m:
-        raise DimensionError(f"k must be in [1, {m}], got {k}")
+    if not callable(k):
+        _check_k(k, m)
     A = X.values
     if not A.any():
         raise DegenerateMatrix("cannot decompose an all-zero matrix")
 
+    d, V, rank = descending_eigh(A @ A.T / n if p <= n else A.T @ A / n, m)
+    if callable(k):
+        k = k(d)
+        _check_k(k, m)
+    k_eff = min(k, rank)
     if p <= n:
-        d, V, k_eff = descending_eigh(A @ A.T / n, k)
         U = np.array(V[:, :k_eff])
     else:
-        d, H, k_eff = descending_eigh(A.T @ A / n, k)
-        U = A @ (H[:, :k_eff] / np.sqrt(n * d[:k_eff]))
+        U = A @ (V[:, :k_eff] / np.sqrt(n * d[:k_eff]))
     U = _fix_signs(np.ascontiguousarray(U))
     return SampleEigen(d=d, U=U, gamma=p / n)
+
+
+def _check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise DimensionError(f"k must be in [1, {m}], got {k}")
 
 
 def pc_scores(X: DataMatrix, eig: SampleEigen, normalized: bool = False) -> ScoreMatrix:

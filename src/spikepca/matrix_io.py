@@ -301,6 +301,12 @@ def _parse_model_float(token: str, where: str) -> float:
         raise FormatError(f"bad number {token!r} in {where}") from None
 
 
+def _require_finite(values: np.ndarray, where: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise FormatError(f"non-finite value {float(values[bad][0])} in {where}")
+
+
 def read_model(path):
     """Read a model written by write_model. Inverse up to exact floats."""
     from .eigen import SampleEigen
@@ -371,7 +377,9 @@ def read_model(path):
             raise FormatError(
                 f"[{name}] has {len(vals)} lines, expected {length} (truncated file?)"
             )
-        return np.array([_parse_model_float(v, f"[{name}]") for v in vals])
+        values = np.array([_parse_model_float(v, f"[{name}]") for v in vals])
+        _require_finite(values, f"[{name}]")
+        return values
 
     means = vector("means", p)
     scales = vector("scales", p)
@@ -394,6 +402,7 @@ def read_model(path):
         d[i] = _parse_model_float(parts[0], "[eigenvalues]")
         d_hat[i] = _parse_model_float(parts[1], "[eigenvalues]")
         lambda_hat[i] = _parse_model_float(parts[2], "[eigenvalues]")
+    _require_finite(np.concatenate([d, d_hat, lambda_hat]), "[eigenvalues]")
 
     U = np.empty((p, k))
     for v in range(k):
@@ -416,6 +425,11 @@ def read_model(path):
         shrinkage[v] = _parse_model_float(parts[0], "[adjustment]")
         score_corr[v] = _parse_model_float(parts[1], "[adjustment]")
         evec_angle[v] = _parse_model_float(parts[2], "[adjustment]")
+    # write_model stores a nan shrinkage for each noise component.
+    estimates = np.column_stack([shrinkage, score_corr, evec_angle])
+    _require_finite(estimates[:k_spikes], "[adjustment]")
+    noise = estimates[k_spikes:]
+    _require_finite(noise[~np.isnan(noise)], "[adjustment]")
 
     prep = Preprocessing(mode, means, scales)
     eig = SampleEigen(d=d, U=U, gamma=gamma)

@@ -131,10 +131,10 @@ def fit(
 ) -> FittedPcModel:
     """Fit the spiked-model PCA pipeline to a training matrix.
 
-    Runs standardize -> eigendecomposition (all min(p, n) eigenvalues;
-    eigenvectors only for the retained components) -> eigenvalue
-    rescaling with gamma = p / n -> per-component estimates. With
-    k="auto" the number of detected spikes is retained (minimum 1).
+    Runs standardize -> eigendecomposition (all min(p, n) eigenvalues)
+    -> eigenvalue rescaling with gamma = p / n -> eigenvectors of the
+    retained components only -> per-component estimates. With k="auto"
+    the number of detected spikes is retained (minimum 1).
     """
     if X.n < 3:
         raise DimensionError(f"need at least 3 samples to fit, got {X.n}")
@@ -143,21 +143,23 @@ def fit(
     if auto:
         if k != "auto":
             raise ValueError(f"k must be an integer or 'auto', got {k!r}")
-        k_request = m
     else:
         k_request = int(k)
         if not 1 <= k_request <= m:
             raise DimensionError(f"k must be in [1, {m}], got {k_request}")
 
     Xs, prep = standardize(X, mode)
-    eig_full = sample_eigen(Xs, k_request)
-    spectrum = rescale_eigenvalues(eig_full.d, X.p, X.n, tol=tol, max_iter=max_iter)
-    k_keep = max(spectrum.k, 1) if auto else k_request
-    k_keep = min(k_keep, eig_full.k)  # rank-deficient matrices retain fewer
-    eig = SampleEigen(
-        d=eig_full.d, U=eig_full.U[:, :k_keep], gamma=eig_full.gamma
-    )
-    shrink, adjust, corr, angle, identifiable = component_estimates(spectrum, k_keep)
+    spectrum = None
+
+    def k_keep(d):
+        nonlocal spectrum
+        spectrum = rescale_eigenvalues(d, X.p, X.n, tol=tol, max_iter=max_iter)
+        return max(spectrum.k, 1) if auto else k_request
+
+    # sample_eigen calls k_keep on the eigenvalues before it builds any
+    # eigenvector, and then builds min(k_keep, numerical rank) of them.
+    eig = sample_eigen(Xs, k_keep)
+    shrink, adjust, corr, angle, identifiable = component_estimates(spectrum, eig.k)
     return FittedPcModel(
         prep=prep,
         eig=eig,

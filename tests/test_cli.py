@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and output contracts."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from spikepca import gen_two_spike, write_matrix
+import spikepca.cli
+import spikepca.model
 from spikepca.cli import main
 
 
@@ -58,6 +61,23 @@ class TestFit:
         code, _, _ = run_cli(capsys, "fit", str(tmp_path / "missing.csv"))
         assert code == 2
 
+    def test_warns_when_rescaling_does_not_converge(
+        self, capsys, monkeypatch, two_spike_csv
+    ):
+        argv = ("fit", str(two_spike_csv), "--mode", "none")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "warning" not in err
+        monkeypatch.setattr(
+            spikepca.cli, "fit", functools.partial(spikepca.model.fit, max_iter=1)
+        )
+        code, stuck_out, stuck_err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "converged=False" in stuck_err
+        assert stuck_err.splitlines()[-1] == "warning: rescaling did not converge"
+        assert "warning" not in stuck_out
+        assert stuck_out.splitlines()[0] == out.splitlines()[0]
+
 
 class TestPredict:
     @pytest.fixture()
@@ -98,6 +118,15 @@ class TestPredict:
         )
         assert code == 0
         assert out.splitlines()[0] == "sample,pc,naive,adjusted,identifiable"
+
+    def test_non_finite_model_value_exits_2(self, capsys, two_spike_csv, model_path):
+        lines = model_path.read_text().splitlines()
+        lines[lines.index("[means]") + 1] = "nan"
+        model_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(two_spike_csv))
+        assert code == 2
+        assert out == ""
+        assert "[means]" in err
 
     def test_wrong_row_count_exits_2(self, capsys, model_path, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -279,6 +279,43 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.identifiable, fitted.identifiable)
         assert loaded.n == fitted.n
 
+    def test_noise_components_keep_nan_shrinkage(self, fitted, tmp_path):
+        assert fitted.k_spikes < fitted.k
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        loaded = read_model(path)
+        assert np.isnan(loaded.shrinkage[fitted.k_spikes:]).all()
+
+    @pytest.mark.parametrize(
+        "section, row, col, value",
+        [
+            ("means", 0, 0, "nan"),
+            ("scales", 1, 0, "inf"),
+            ("eigenvalues", 0, 0, "inf"),
+            ("eigenvalues", 2, 1, "nan"),
+            ("eigenvalues", 1, 2, "-inf"),
+            ("eigenvector 1", 0, 0, "inf"),
+            ("eigenvector 3", 4, 0, "nan"),
+            ("adjustment", 0, 0, "nan"),
+            ("adjustment", 0, 2, "inf"),
+            ("adjustment", 2, 0, "inf"),
+            ("adjustment", 2, 1, "-inf"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, fitted, tmp_path, section, row, col, value):
+        # fitted has k=3: row 0 of [adjustment] is a spike, rows 1-2 noise
+        assert fitted.k_spikes == 1
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        lines = path.read_text().splitlines()
+        i = lines.index(f"[{section}]") + 1 + row
+        cells = lines[i].split(",")
+        cells[col] = value
+        lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"\[{section}\]"):
+            read_model(path)
+
     def test_unknown_format_version(self, fitted, tmp_path):
         path = tmp_path / "model.spca"
         write_model(fitted, path)

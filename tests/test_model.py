@@ -24,6 +24,7 @@ from spikepca import (
     shrinkage_factor,
     standardize,
 )
+import spikepca.model
 from spikepca.model import component_estimates
 from spikepca.simulate import gen_two_spike, standard_normal, substream
 
@@ -294,6 +295,63 @@ class TestJackknifeDowndate:
         value, used, excluded = refit_jackknife(X, "center_scale", 1)
         estimate = jackknife_shrinkage(X, "center_scale", 1)
         assert (estimate.value, estimate.used, estimate.excluded) == (value, used, excluded)
+
+
+class TestSpectrumFirstFit:
+    """fit chooses k from the eigenvalues before it builds any eigenvector."""
+
+    CASES = {
+        "gram": spiked_matrix(1, 300, 40, 6.0),
+        "covariance": spiked_matrix(2, 40, 120, 4.0),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Column counts of every U that fit's sample_eigen call returns."""
+        counts = []
+        original = spikepca.model.sample_eigen
+
+        def recording(X, k):
+            eig = original(X, k)
+            counts.append(eig.U.shape[1])
+            return eig
+
+        monkeypatch.setattr(spikepca.model, "sample_eigen", recording)
+        return counts
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_auto_builds_only_kept_columns(self, case, built):
+        model = fit(self.CASES[case], "center", k="auto")
+        assert model.k < min(self.CASES[case].values.shape)
+        assert built == [model.k]
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_auto_equals_explicit_k(self, case, mode):
+        # a narrower product may round differently from the full-width
+        # one, so building all columns and slicing would not match
+        auto = fit(self.CASES[case], mode, k="auto")
+        explicit = fit(self.CASES[case], mode, k=auto.k)
+        np.testing.assert_array_equal(auto.eig.U, explicit.eig.U)
+        np.testing.assert_array_equal(auto.eig.d, explicit.eig.d)
+        np.testing.assert_array_equal(auto.shrinkage, explicit.shrinkage)
+
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 120)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_auto_keeps_at_most_rank(self, shape, rank, built):
+        rng = np.random.default_rng(rank)
+        p, n = shape
+        X = DataMatrix(
+            (rng.standard_normal((p, rank)) * [8.0, 3.0][:rank])
+            @ rng.standard_normal((rank, n))
+        )
+        model = fit(X, "none", k="auto")
+        assert 1 <= model.k <= rank
+        assert built == [model.k]
+        assert np.count_nonzero(model.eig.d) == rank
+        np.testing.assert_allclose(
+            model.eig.U.T @ model.eig.U, np.eye(model.k), atol=1e-12
+        )
 
 
 class TestPcRegression:
