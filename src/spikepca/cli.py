@@ -34,7 +34,8 @@ _ORIENTATION_CHOICES = {
 }
 
 
-def _load_matrix(path, orientation_flag: str, min_samples: int = 2) -> DataMatrix:
+def _load_matrix(path, orientation_flag: str, min_samples: int = 1) -> np.ndarray:
+    """Parse a CSV into a variables x samples array of at least min_samples."""
     arr = _parse_csv(path)
     if _ORIENTATION_CHOICES[orientation_flag] == "rows_are_samples":
         arr = arr.T
@@ -42,7 +43,7 @@ def _load_matrix(path, orientation_flag: str, min_samples: int = 2) -> DataMatri
         raise DimensionError(
             f"{path}: need at least {min_samples} samples, got {arr.shape[1]}"
         )
-    return DataMatrix(arr)
+    return arr
 
 
 def _emit(text: str, out_path) -> None:
@@ -65,7 +66,7 @@ def _parse_k(value: str):
 
 
 def _cmd_fit(args) -> int:
-    X = _load_matrix(args.matrix, args.orientation, min_samples=3)
+    X = DataMatrix(_load_matrix(args.matrix, args.orientation, min_samples=3))
     model = fit(X, mode=_MODE_CHOICES[args.mode], k=args.k)
     if args.out:
         write_model(model, args.out)
@@ -99,9 +100,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = read_model(args.model)
-    arr = _parse_csv(args.matrix)
-    if _ORIENTATION_CHOICES[args.orientation] == "rows_are_samples":
-        arr = arr.T
+    arr = _load_matrix(args.matrix, args.orientation)
     if arr.shape[0] != model.p:
         raise DimensionError(
             f"{args.matrix}: expected {model.p} variables (rows), got {arr.shape[0]}"
@@ -164,7 +163,7 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_jackknife(args) -> int:
-    X = _load_matrix(args.matrix, args.orientation, min_samples=4)
+    X = DataMatrix(_load_matrix(args.matrix, args.orientation, min_samples=4))
     estimate = jackknife_shrinkage(X, _MODE_CHOICES[args.mode], args.pc)
     lines = [
         "pc,jackknife,plugin_shrinkage,used,excluded",

@@ -140,11 +140,3 @@ def pc_scores(X: DataMatrix, eig: SampleEigen, normalized: bool = False) -> Scor
     if normalized:
         scores = scores / np.sqrt(X.n * eig.d[: eig.k, None])
     return ScoreMatrix(scores=scores, normalized=normalized)
-
-
-def project_new(x_new: np.ndarray, eig: SampleEigen) -> np.ndarray:
-    """Naive predicted scores u_v^T x for a single preprocessed sample."""
-    x = np.asarray(x_new, dtype=np.float64)
-    if x.shape != (eig.p,):
-        raise DimensionError(f"expected length-{eig.p} vector, got shape {x.shape}")
-    return eig.U.T @ x

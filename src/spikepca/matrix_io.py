@@ -91,6 +91,22 @@ class Preprocessing:
     def p(self) -> int:
         return self.means.shape[0]
 
+    def apply(self, values) -> np.ndarray:
+        """Map raw data, a length-p vector or a p x m matrix, into the
+        standardized coordinates: (x - means) / scales per variable."""
+        x = np.asarray(values, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.p:
+            raise DimensionError(
+                f"expected a length-{self.p} vector or {self.p} x m matrix, "
+                f"got shape {x.shape}"
+            )
+        means, scales = self.means, self.scales
+        if x.ndim == 2:
+            means, scales = means[:, None], scales[:, None]
+        Z = x - means
+        Z /= scales
+        return Z
+
 
 def _parse_csv(path) -> np.ndarray:
     """Parse a rectangular numeric CSV (optional single header row).
@@ -232,18 +248,8 @@ def standardize(X: DataMatrix, mode: str) -> tuple[DataMatrix, Preprocessing]:
             f"variable {bad[0]} has zero variance; cannot center_scale",
             row=int(bad[0]),
         )
-    return (
-        DataMatrix(centered / sds[:, None]),
-        Preprocessing("center_scale", means, sds),
-    )
-
-
-def apply_preprocessing(x_new: np.ndarray, prep: Preprocessing) -> np.ndarray:
-    """Map a new length-p observation into the standardized coordinates."""
-    x = np.asarray(x_new, dtype=np.float64)
-    if x.shape != (prep.p,):
-        raise DimensionError(f"expected length-{prep.p} vector, got shape {x.shape}")
-    return (x - prep.means) / prep.scales
+    centered /= sds[:, None]
+    return DataMatrix(centered), Preprocessing("center_scale", means, sds)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +374,8 @@ def read_model(path):
         raise FormatError(f"bad meta value: {exc}") from None
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r} in model file")
+    if not (0 <= gamma < np.inf and np.isfinite(tau)):
+        raise FormatError(f"bad gamma={gamma} or tau={tau} in [meta]")
 
     def vector(name, length):
         if name not in sections:
@@ -430,6 +438,15 @@ def read_model(path):
     _require_finite(estimates[:k_spikes], "[adjustment]")
     noise = estimates[k_spikes:]
     _require_finite(noise[~np.isnan(noise)], "[adjustment]")
+    # A spike's shrinkage (x - 1) / (x + gamma - 1), x above the detection
+    # threshold 1 + sqrt(gamma), lies in (1 / (1 + sqrt(gamma)), 1]; the
+    # slack allows for rounding when x is a few ulp above the threshold.
+    floor = (1 - 1e-12) / (1 + np.sqrt(gamma))
+    for s in shrinkage[:k_spikes]:
+        if not floor < s <= 1:
+            raise FormatError(
+                f"spike shrinkage {s} in [adjustment] is outside ({floor:.6g}, 1]"
+            )
 
     prep = Preprocessing(mode, means, scales)
     eig = SampleEigen(d=d, U=U, gamma=gamma)
@@ -442,17 +459,13 @@ def read_model(path):
         iterations=iterations,
         converged=converged,
     )
-    identifiable = np.arange(k) < k_spikes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        adjustment = np.where(identifiable, 1.0 / shrinkage, np.nan)
     return FittedPcModel(
         prep=prep,
         eig=eig,
         spectrum=spectrum,
         shrinkage=shrinkage,
-        adjustment=adjustment,
         score_corr=score_corr,
         evec_angle=evec_angle,
-        identifiable=identifiable,
+        identifiable=np.arange(k) < k_spikes,
         n_samples=n,
     )

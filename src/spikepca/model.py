@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     NotIdentifiable,
 )
-from .matrix_io import DataMatrix, Preprocessing, apply_preprocessing, standardize
+from .matrix_io import DataMatrix, Preprocessing, standardize
 from .spiked import (
     RescaledSpectrum,
     detection_threshold,
@@ -38,18 +38,18 @@ class FittedPcModel:
     """Fitted spiked-model PCA.
 
     Per retained component v the model carries the shrinkage factor
-    s_v, its reciprocal (the score adjustment), the estimated
-    |cos|-angle between sample and population eigenvectors, and the
-    estimated correlation between sample and population scores. For
-    components classified as noise (``identifiable`` False) shrinkage
-    and adjustment are NaN and both angle estimates are 0.
+    s_v, the estimated |cos|-angle between sample and population
+    eigenvectors, and the estimated correlation between sample and
+    population scores; the score adjustment 1/s_v is derived from the
+    shrinkage. For components classified as noise (``identifiable``
+    False) shrinkage and adjustment are NaN and both angle estimates
+    are 0.
     """
 
     prep: Preprocessing
     eig: SampleEigen
     spectrum: RescaledSpectrum
     shrinkage: np.ndarray
-    adjustment: np.ndarray
     score_corr: np.ndarray
     evec_angle: np.ndarray
     identifiable: np.ndarray
@@ -76,6 +76,11 @@ class FittedPcModel:
     def k_spikes(self) -> int:
         return self.spectrum.k
 
+    @property
+    def adjustment(self) -> np.ndarray:
+        """Score adjustment 1/shrinkage per component; NaN for noise."""
+        return np.where(self.identifiable, 1.0 / self.shrinkage, np.nan)
+
 
 @dataclass(frozen=True)
 class PredictionScores:
@@ -99,13 +104,12 @@ class PredictionScores:
 
 
 def component_estimates(spectrum: RescaledSpectrum, k: int):
-    """Shrinkage/adjustment/angle estimates for the first k components.
+    """Shrinkage/angle estimates and spike flags for the first k components.
 
     Derived from the rescaled spectrum alone; used by fit() and usable
     to re-derive the stored estimates of a persisted model.
     """
     shrink = np.full(k, np.nan)
-    adjust = np.full(k, np.nan)
     corr = np.zeros(k)
     angle = np.zeros(k)
     identifiable = np.zeros(k, dtype=bool)
@@ -116,10 +120,9 @@ def component_estimates(spectrum: RescaledSpectrum, k: int):
         if lam > threshold:
             identifiable[v] = True
             shrink[v] = shrinkage_factor(lam, gamma)
-            adjust[v] = 1.0 / shrink[v]
             corr[v] = score_angle(lam, gamma)
             angle[v] = eigenvector_angle(lam, gamma)
-    return shrink, adjust, corr, angle, identifiable
+    return shrink, corr, angle, identifiable
 
 
 def fit(
@@ -159,13 +162,12 @@ def fit(
     # sample_eigen calls k_keep on the eigenvalues before it builds any
     # eigenvector, and then builds min(k_keep, numerical rank) of them.
     eig = sample_eigen(Xs, k_keep)
-    shrink, adjust, corr, angle, identifiable = component_estimates(spectrum, eig.k)
+    shrink, corr, angle, identifiable = component_estimates(spectrum, eig.k)
     return FittedPcModel(
         prep=prep,
         eig=eig,
         spectrum=spectrum,
         shrinkage=shrink,
-        adjustment=adjust,
         score_corr=corr,
         evec_angle=angle,
         identifiable=identifiable,
@@ -191,8 +193,7 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
         )
     if not np.isfinite(arr).all():
         raise DomainError("new samples contain non-finite values")
-    Z = (arr - model.prep.means[:, None]) / model.prep.scales[:, None]
-    naive = model.eig.U.T @ Z
+    naive = model.eig.U.T @ model.prep.apply(arr)
     adjusted = naive.copy()
     mask = model.identifiable
     adjusted[mask] = naive[mask] * model.adjustment[mask, None]
@@ -282,7 +283,7 @@ def _refit_one(X: DataMatrix, mode: str, component: int, j: int):
     refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
     if refit.k_spikes < component or refit.k < component:
         return None
-    z = apply_preprocessing(X.values[:, j], refit.prep)
+    z = refit.prep.apply(X.values[:, j])
     return float(refit.eig.U[:, component - 1] @ z)
 
 

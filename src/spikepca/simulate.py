@@ -417,9 +417,7 @@ def run_table3(
             X_train, y_train = gen_pcr(n, g, p, rng)
             X_test, y_test = gen_pcr(n, g, p, rng)
             model = fit(X_train, mode="center", k=1)
-            s_train = pc_scores(
-                standardized_training_matrix(model, X_train), model.eig
-            ).scores[0]
+            s_train = predict(model, X_train).naive[0]
             coeffs = pcr_fit(s_train, y_train)
             scores = predict(model, X_test)
             return {
@@ -449,12 +447,6 @@ def run_table3(
     return SimulationReport(
         design="pcr", seed=seed, replicates=replicates, cells=tuple(out_cells)
     )
-
-
-def standardized_training_matrix(model, X: DataMatrix) -> DataMatrix:
-    """Re-apply the model's preprocessing to its own training matrix."""
-    Z = (X.values - model.prep.means[:, None]) / model.prep.scales[:, None]
-    return DataMatrix(Z)
 
 
 INTRO_SCORES_HEADER = "set,stratum,pc1,pc2,pc1_adj,pc2_adj"

@@ -33,27 +33,33 @@ from .errors import DegenerateMatrix, DomainError, NotIdentifiable, NumericalErr
 _OSCILLATION_WINDOW = 10
 
 
-def mp_edges(gamma: float) -> tuple[float, float]:
-    """Support edges ((1-sqrt(gamma))^2, (1+sqrt(gamma))^2) of the noise spectrum."""
+def _check_gamma(gamma: float) -> None:
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
+
+
+def _check_spike(spike: float) -> None:
+    if spike <= 1:
+        raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
+
+
+def mp_edges(gamma: float) -> tuple[float, float]:
+    """Support edges ((1-sqrt(gamma))^2, (1+sqrt(gamma))^2) of the noise spectrum."""
+    _check_gamma(gamma)
     s = math.sqrt(gamma)
     return ((1 - s) ** 2, (1 + s) ** 2)
 
 
 def detection_threshold(gamma: float) -> float:
     """Population eigenvalues at or below 1 + sqrt(gamma) are undetectable."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     return 1 + math.sqrt(gamma)
 
 
 def sample_eigenvalue_limit(spike: float, gamma: float) -> float:
     """Almost-sure limit x (1 + gamma / (x - 1)) of a spiked sample eigenvalue."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if spike <= 1:
-        raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
+    _check_gamma(gamma)
+    _check_spike(spike)
     return spike * (1 + gamma / (spike - 1))
 
 
@@ -63,8 +69,7 @@ def debias_eigenvalue(d: float, gamma: float) -> float:
     Defined for d at or above the upper noise edge (1 + sqrt(gamma))^2;
     below it the caller should classify the component as noise instead.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     b = (1 + math.sqrt(gamma)) ** 2
     if d < b:
         raise DomainError(
@@ -86,10 +91,8 @@ def eigenvector_angle(spike: float, gamma: float) -> float:
     sqrt((1 - gamma/(x-1)^2) / (1 + gamma/(x-1))) above the detection
     threshold, 0 at or below it.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if spike <= 1:
-        raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
+    _check_gamma(gamma)
+    _check_spike(spike)
     if spike <= detection_threshold(gamma):
         return 0.0
     x1 = spike - 1
@@ -102,10 +105,8 @@ def score_angle(spike: float, gamma: float) -> float:
     sqrt(1 - gamma/(x-1)^2) above the detection threshold, 0 at or
     below it. Always at least as large as the eigenvector angle.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if spike <= 1:
-        raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
+    _check_gamma(gamma)
+    _check_spike(spike)
     if spike <= detection_threshold(gamma):
         return 0.0
     return math.sqrt(1 - gamma / (spike - 1) ** 2)
@@ -117,33 +118,33 @@ def shrinkage_factor(spike: float, gamma: float) -> float:
     Only defined above the detection threshold; increasing in the spike
     size, decreasing in gamma.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
     if spike <= detection_threshold(gamma):
         raise DomainError(
             f"shrinkage factor needs a spike above {detection_threshold(gamma)}, "
             f"got {spike}"
         )
+    return _shrinkage(spike, gamma)
+
+
+def _shrinkage(spike: float, gamma: float) -> float:
     return (spike - 1) / (spike + gamma - 1)
 
 
 def adjustment_factor(d_hat: float, gamma: float) -> float:
     """Multiplier that removes the prediction shrinkage, from a rescaled d.
 
-    The reciprocal of the shrinkage factor evaluated at the debiased
-    eigenvalue. Raises NotIdentifiable when d_hat does not exceed the
+    1 / shrinkage at the debiased eigenvalue, as FittedPcModel.adjustment
+    takes it. Raises NotIdentifiable when d_hat does not exceed the
     noise edge.
     """
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     b = (1 + math.sqrt(gamma)) ** 2
     if d_hat <= b:
         raise NotIdentifiable(
             f"d_hat={d_hat} does not exceed the noise edge {b}; "
             "component is not adjustable"
         )
-    lam = debias_eigenvalue(d_hat, gamma)
-    return (lam + gamma - 1) / (lam - 1)
+    return 1.0 / _shrinkage(debias_eigenvalue(d_hat, gamma), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,7 @@ def rescale_eigenvalues(
         raise DegenerateMatrix("all sample eigenvalues are zero")
     if gamma is None:
         gamma = p / n
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
 
     b = (1 + math.sqrt(gamma)) ** 2
     r = d / total

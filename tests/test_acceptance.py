@@ -17,7 +17,6 @@ from spikepca import (
     fit,
     gen_two_spike,
     jackknife_shrinkage,
-    mp_integral,
     pc_scores,
     predict,
     rescale_eigenvalues,
@@ -28,9 +27,9 @@ from spikepca import (
     sample_eigenvalue_limit,
     score_angle,
     shrinkage_factor,
-    trace_gap,
 )
 from spikepca.simulate import substream, two_spike_eigenvalues
+from spikepca.spiked import mp_integral, trace_gap
 
 pytestmark = pytest.mark.acceptance
 

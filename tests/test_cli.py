@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikepca import gen_two_spike, write_matrix
+from spikepca import DataMatrix, gen_two_spike, write_matrix
 import spikepca.cli
 import spikepca.model
 from spikepca.cli import main
@@ -128,12 +128,73 @@ class TestPredict:
         assert out == ""
         assert "[means]" in err
 
+    def test_out_of_range_spike_shrinkage_exits_2(
+        self, capsys, two_spike_csv, model_path
+    ):
+        lines = model_path.read_text().splitlines()
+        i = lines.index("[adjustment]") + 1
+        lines[i] = "0," + lines[i].split(",", 1)[1]
+        model_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(two_spike_csv))
+        assert code == 2
+        assert out == ""
+        assert "[adjustment]" in err
+
+    def test_single_sample(self, capsys, two_spike_csv, model_path, tmp_path):
+        # one sample as a column, and as a row under rows-are-samples
+        x = gen_two_spike(200, 1.0, seed=7).values[:, 0]
+        column, row = tmp_path / "column.csv", tmp_path / "row.csv"
+        column.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
+        row.write_text(",".join(f"{v:.17g}" for v in x) + "\n")
+        code, out, _ = run_cli(capsys, "predict", str(model_path), str(column))
+        assert code == 0
+        code, out_row, _ = run_cli(
+            capsys, "predict", str(model_path), str(row),
+            "--orientation", "rows-are-samples",
+        )
+        assert code == 0
+        assert out_row == out
+        lines = out.strip().splitlines()
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["1", "1"], ["1", "2"]]
+        code, full, _ = run_cli(capsys, "predict", str(model_path), str(two_spike_csv))
+        assert code == 0
+        for got, want in zip(lines[1:], full.splitlines()[1:3]):
+            got, want = got.split(","), want.split(",")
+            assert got[4] == want[4]
+            for a, b in zip(got[2:4], want[2:4]):
+                assert float(a) == pytest.approx(float(b), rel=1e-12)
+
     def test_wrong_row_count_exits_2(self, capsys, model_path, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,4\n")
         code, _, err = run_cli(capsys, "predict", str(model_path), str(bad))
         assert code == 2
         assert "200" in err and "2" in err
+
+
+class TestOrientation:
+    def test_rows_are_samples_matches_transposed_file(self, capsys, tmp_path):
+        # 120 variables x 60 samples, so a missed transpose changes shapes
+        X = gen_two_spike(60, 2.0, seed=5)
+        plain, flipped = tmp_path / "plain.csv", tmp_path / "flipped.csv"
+        write_matrix(X, plain)
+        write_matrix(DataMatrix(X.values.T), flipped)
+        model = {plain: tmp_path / "plain.spca", flipped: tmp_path / "flipped.spca"}
+        outputs = {}
+        for path, extra in ((plain, ()), (flipped, ("--orientation", "rows-are-samples"))):
+            runs = (
+                ("fit", str(path), "--mode", "center", "--out", str(model[path])),
+                ("predict", str(model[plain]), str(path), "--adjusted", "both"),
+                ("jackknife", str(path), "--pc", "1", "--mode", "center"),
+            )
+            for argv in runs:
+                code, out, err = run_cli(capsys, *argv, *extra)
+                assert code == 0, err
+                outputs.setdefault(argv[0], []).append(out)
+        for command, (out, out_flipped) in outputs.items():
+            assert out.count("\n") > 1, command
+            assert out_flipped == out, command
+        assert model[flipped].read_bytes() == model[plain].read_bytes()
 
 
 class TestRescale:

@@ -9,8 +9,9 @@ from spikepca import (
     DataMatrix,
     DegenerateMatrix,
     DimensionError,
+    fit,
     pc_scores,
-    project_new,
+    predict,
     sample_eigen,
 )
 
@@ -152,25 +153,29 @@ class TestScores:
 
 
 class TestProjectNew:
+    """Naive scores of new samples: predict() under mode "none" is u_v^T x."""
+
     @pytest.fixture
-    def eig(self):
+    def model(self):
         rng = np.random.default_rng(30)
         X = DataMatrix(rng.standard_normal((10, 15)))
         self.X = X
-        return sample_eigen(X, 3)
+        model = fit(X, mode="none", k=3)
+        np.testing.assert_array_equal(model.eig.U, sample_eigen(X, 3).U)
+        return model
 
-    def test_eigenvector_projects_to_basis(self, eig):
-        q = project_new(eig.U[:, 0], eig)
+    def test_eigenvector_projects_to_basis(self, model):
+        q = predict(model, model.eig.U[:, 0]).naive[:, 0]
         np.testing.assert_allclose(q, [1.0, 0.0, 0.0], atol=1e-10)
 
-    def test_training_column_matches_score_matrix(self, eig):
-        scores = pc_scores(self.X, eig)
-        q = project_new(self.X.values[:, 4], eig)
+    def test_training_column_matches_score_matrix(self, model):
+        scores = pc_scores(self.X, model.eig)
+        q = predict(model, self.X.values[:, 4]).naive[:, 0]
         np.testing.assert_allclose(q, scores.scores[:, 4], atol=1e-12)
 
-    def test_zero_vector(self, eig):
-        np.testing.assert_array_equal(project_new(np.zeros(10), eig), np.zeros(3))
+    def test_zero_vector(self, model):
+        np.testing.assert_array_equal(predict(model, np.zeros(10)).naive, np.zeros((3, 1)))
 
-    def test_length_mismatch(self, eig):
+    def test_length_mismatch(self, model):
         with pytest.raises(DimensionError):
-            project_new(np.zeros(9), eig)
+            predict(model, np.zeros(9))

@@ -15,7 +15,6 @@ from spikepca import (
     FormatError,
     ParseError,
     Preprocessing,
-    apply_preprocessing,
     fit,
     gen_two_spike,
     read_matrix,
@@ -210,27 +209,39 @@ class TestStandardize:
 class TestApplyPreprocessing:
     def test_identity(self):
         prep = Preprocessing("none", np.zeros(3), np.ones(3))
-        np.testing.assert_array_equal(
-            apply_preprocessing([1.0, 2.0, 3.0], prep), [1.0, 2.0, 3.0]
-        )
+        np.testing.assert_array_equal(prep.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_hand_case(self):
         prep = Preprocessing("center_scale", np.array([1.0]), np.array([2.0]))
-        np.testing.assert_array_equal(apply_preprocessing([3.0], prep), [1.0])
+        np.testing.assert_array_equal(prep.apply([3.0]), [1.0])
 
     def test_training_columns_round_trip(self):
+        # standardize(X, mode) and prep.apply agree bit for bit, on the
+        # whole matrix and on each column alone
         rng = np.random.default_rng(11)
         X = DataMatrix(rng.standard_normal((6, 9)) * 3 + 1)
-        Y, prep = standardize(X, "center_scale")
-        for j in range(X.n):
-            np.testing.assert_array_equal(
-                apply_preprocessing(X.values[:, j], prep), Y.values[:, j]
-            )
+        for mode in ("none", "center", "center_scale"):
+            Y, prep = standardize(X, mode)
+            np.testing.assert_array_equal(prep.apply(X.values), Y.values)
+            for j in range(X.n):
+                np.testing.assert_array_equal(
+                    prep.apply(X.values[:, j]), Y.values[:, j]
+                )
+
+    def test_input_left_unchanged(self):
+        prep = Preprocessing("center_scale", np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+        x = np.array([[3.0, 5.0], [6.0, 10.0]])
+        np.testing.assert_array_equal(prep.apply(x), [[1.0, 2.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(x, [[3.0, 5.0], [6.0, 10.0]])
 
     def test_length_mismatch(self):
         prep = Preprocessing("center", np.zeros(3), np.ones(3))
         with pytest.raises(DimensionError):
-            apply_preprocessing([1.0, 2.0], prep)
+            prep.apply([1.0, 2.0])
+        with pytest.raises(DimensionError):
+            prep.apply(np.zeros((2, 4)))
+        with pytest.raises(DimensionError):
+            prep.apply(np.zeros((3, 4, 1)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -246,6 +257,16 @@ def test_csv_round_trip_exact(tmp_path_factory, p, n, scale, seed):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     write_matrix(X, path)
     np.testing.assert_array_equal(read_matrix(path).values, X.values)
+
+
+def edit_model_cell(path, section, row, col, value):
+    """Replace one comma-separated cell of a model file section in place."""
+    lines = path.read_text().splitlines()
+    i = lines.index(f"[{section}]") + 1 + row
+    cells = lines[i].split(",")
+    cells[col] = value
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestModelPersistence:
@@ -300,20 +321,32 @@ class TestModelPersistence:
             ("adjustment", 0, 2, "inf"),
             ("adjustment", 2, 0, "inf"),
             ("adjustment", 2, 1, "-inf"),
+            ("meta", 3, 0, "gamma=nan"),
+            ("meta", 3, 0, "gamma=inf"),
+            ("meta", 7, 0, "tau=nan"),
+            ("meta", 7, 0, "tau=-inf"),
         ],
     )
     def test_non_finite_value_rejected(self, fitted, tmp_path, section, row, col, value):
-        # fitted has k=3: row 0 of [adjustment] is a spike, rows 1-2 noise
+        # fitted has k=3: row 0 of [adjustment] is a spike, rows 1-2 noise;
+        # rows 3 and 7 of [meta] are gamma and tau
         assert fitted.k_spikes == 1
         path = tmp_path / "model.spca"
         write_model(fitted, path)
-        lines = path.read_text().splitlines()
-        i = lines.index(f"[{section}]") + 1 + row
-        cells = lines[i].split(",")
-        cells[col] = value
-        lines[i] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        edit_model_cell(path, section, row, col, value)
         with pytest.raises(FormatError, match=rf"\[{section}\]"):
+            read_model(path)
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1e-300", "0.58", "1.5"])
+    def test_spike_shrinkage_out_of_range_rejected(self, fitted, tmp_path, value):
+        # a spike's shrinkage lies in (1 / (1 + sqrt(gamma)), 1]; here
+        # gamma = 0.5, so the floor is 0.5858
+        assert fitted.gamma == 0.5
+        assert 1 / (1 + 0.5**0.5) < fitted.shrinkage[0] <= 1
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        edit_model_cell(path, "adjustment", 0, 0, value)
+        with pytest.raises(FormatError, match=r"spike shrinkage .* \[adjustment\]"):
             read_model(path)
 
     def test_unknown_format_version(self, fitted, tmp_path):

@@ -11,7 +11,6 @@ from spikepca import (
     DegenerateRegressor,
     DimensionError,
     NotIdentifiable,
-    apply_preprocessing,
     debias_eigenvalue,
     fit,
     jackknife_shrinkage,
@@ -75,11 +74,11 @@ class TestFit:
 
     def test_estimates_recomputable_from_spectrum(self, two_spike_model):
         _, model = two_spike_model
-        shrink, adjust, corr, angle, ident = component_estimates(
-            model.spectrum, model.k
-        )
+        shrink, corr, angle, ident = component_estimates(model.spectrum, model.k)
         np.testing.assert_array_equal(shrink, model.shrinkage)
-        np.testing.assert_array_equal(adjust, model.adjustment)
+        np.testing.assert_array_equal(
+            np.where(ident, 1.0 / shrink, np.nan), model.adjustment
+        )
         np.testing.assert_array_equal(corr, model.score_corr)
         np.testing.assert_array_equal(angle, model.evec_angle)
         np.testing.assert_array_equal(ident, model.identifiable)
@@ -226,7 +225,7 @@ def refit_jackknife(X, mode, component):
         refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
         if refit.k_spikes < component or refit.k < component:
             continue
-        z = apply_preprocessing(X.values[:, j], refit.prep)
+        z = refit.prep.apply(X.values[:, j])
         predicted_sq.append(float(refit.eig.U[:, component - 1] @ z) ** 2)
     used = len(predicted_sq)
     value = math.sqrt(math.fsum(predicted_sq) / used / mean_sq_sample) if used else None

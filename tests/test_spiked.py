@@ -10,23 +10,20 @@ from hypothesis import strategies as st
 from spikepca import (
     DegenerateMatrix,
     DomainError,
-    MpLaw,
     NotIdentifiable,
     adjustment_factor,
     debias_eigenvalue,
     detection_threshold,
     eigenvector_angle,
     gen_two_spike,
-    mp_edges,
-    mp_integral,
     rescale_eigenvalues,
     sample_eigen,
     sample_eigenvalue_limit,
     score_angle,
     shrinkage_factor,
-    trace_gap,
 )
 from spikepca.simulate import standard_normal, substream
+from spikepca.spiked import MpLaw, mp_edges, mp_integral, trace_gap
 
 GAMMA_GRID = [0.1, 1.0, 20.0, 100.0, 500.0]
 
