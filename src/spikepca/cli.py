@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import simulate
 from .errors import INPUT_ERRORS, DimensionError, ParseError, SpikePcaError
 from .matrix_io import (
     DataMatrix,
@@ -23,7 +24,6 @@ from .matrix_io import (
     write_model,
 )
 from .model import fit, jackknife_shrinkage, predict
-from .simulate import SimConfig, resolve_workers, run_simulation
 from .spiked import rescale_eigenvalues
 
 _MODE_CHOICES = {"none": "none", "center": "center", "center-scale": "center_scale"}
@@ -182,28 +182,28 @@ def _cmd_jackknife(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    design = {"intro": "intro", "table12": "two_spike", "table3": "pcr"}[args.study]
-    kwargs = dict(
-        design=design,
-        seed=args.seed,
-        workers=resolve_workers(args.workers),
-    )
-    if design == "two_spike":
-        kwargs["replicates"] = 200 if args.replicates is None else args.replicates
-        if args.gamma:
-            kwargs["gammas"] = tuple(args.gamma)
-        if args.n:
-            kwargs["ns"] = tuple(args.n)
-    elif design == "pcr":
-        kwargs["replicates"] = 100 if args.replicates is None else args.replicates
-        if args.cell:
-            kwargs["cells"] = tuple(args.cell)
-        kwargs["p"] = args.p
+    # Only the options given are passed on, so the defaults live in the
+    # drivers alone. The drivers are looked up on the module at call time,
+    # so a wrapper installed on spikepca.simulate sees these calls.
+    def given(**options):
+        return {key: value for key, value in options.items() if value is not None}
+
+    scores_csv = None
+    if args.study == "table12":
+        report = simulate.run_table12(
+            seed=args.seed,
+            workers=args.workers,
+            **given(gammas=args.gamma, ns=args.n, replicates=args.replicates),
+        )
+    elif args.study == "table3":
+        report = simulate.run_table3(
+            seed=args.seed,
+            p=args.p,
+            workers=args.workers,
+            **given(cells=args.cell, replicates=args.replicates),
+        )
     else:
-        kwargs["replicates"] = 1
-        kwargs["p"] = args.p
-    config = SimConfig(**kwargs)
-    report, scores_csv = run_simulation(config)
+        report, scores_csv = simulate.run_intro(seed=args.seed, p=args.p)
     _emit(report.to_csv(), args.out)
     if scores_csv is not None and args.scores_out:
         Path(args.scores_out).write_text(scores_csv)

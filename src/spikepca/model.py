@@ -25,11 +25,10 @@ from .errors import (
 from .matrix_io import DataMatrix, Preprocessing, standardize
 from .spiked import (
     RescaledSpectrum,
-    detection_threshold,
+    _shrinkage,
     eigenvector_angle,
     rescale_eigenvalues,
     score_angle,
-    shrinkage_factor,
 )
 
 
@@ -107,21 +106,21 @@ def component_estimates(spectrum: RescaledSpectrum, k: int):
     """Shrinkage/angle estimates and spike flags for the first k components.
 
     Derived from the rescaled spectrum alone; used by fit() and usable
-    to re-derive the stored estimates of a persisted model.
+    to re-derive the stored estimates of a persisted model. The spikes
+    are the first spectrum.k components, the rule read_model() applies.
     """
     shrink = np.full(k, np.nan)
     corr = np.zeros(k)
     angle = np.zeros(k)
-    identifiable = np.zeros(k, dtype=bool)
+    identifiable = np.arange(k) < spectrum.k
     gamma = spectrum.gamma
-    threshold = detection_threshold(gamma)
-    for v in range(k):
+    for v in range(min(k, spectrum.k)):
+        # a spike at the edge debiases to exactly 1 + sqrt(gamma), where
+        # shrinkage_factor would raise: its shrinkage is 1 / (1 + sqrt(gamma))
         lam = spectrum.lambda_hat[v]
-        if lam > threshold:
-            identifiable[v] = True
-            shrink[v] = shrinkage_factor(lam, gamma)
-            corr[v] = score_angle(lam, gamma)
-            angle[v] = eigenvector_angle(lam, gamma)
+        shrink[v] = _shrinkage(lam, gamma)
+        corr[v] = score_angle(lam, gamma)
+        angle[v] = eigenvector_angle(lam, gamma)
     return shrink, corr, angle, identifiable
 
 

@@ -327,6 +327,8 @@ def run_table12(
     values. Replicates where a component is classified as noise
     contribute no plug-in value (the `used` count reflects it).
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     workers = resolve_workers(workers)
     cells = []
     cell_index = 0
@@ -408,6 +410,8 @@ def run_table3(
     train set, regress the outcome on the first PC score, and evaluate
     test MSE using naive and bias-adjusted predicted scores.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     workers = resolve_workers(workers)
     out_cells = []
     for cell_idx, (n, g) in enumerate(cells):
@@ -510,55 +514,3 @@ def run_intro(
                 )
             )
     return report, "\n".join(rows) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# config-driven entry point used by the CLI
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Declarative description of one simulation run."""
-
-    design: str
-    seed: int
-    replicates: int = 1
-    gammas: tuple = (1.0, 20.0, 100.0)
-    ns: tuple = (100, 200)
-    cells: tuple = ((100, 300), (200, 300))
-    p: int = 5000
-    n_per_stratum: tuple = (50, 30, 20)
-    workers: int | None = None
-
-    def __post_init__(self):
-        if self.design not in _DESIGN_IDS:
-            raise ValueError(f"unknown design {self.design!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-
-
-def run_simulation(config: SimConfig) -> tuple[SimulationReport, str | None]:
-    """Run the configured study; returns (report, intro score dump or None)."""
-    if config.design == "two_spike":
-        report = run_table12(
-            gammas=config.gammas,
-            ns=config.ns,
-            replicates=config.replicates,
-            seed=config.seed,
-            workers=config.workers,
-        )
-        return report, None
-    if config.design == "pcr":
-        report = run_table3(
-            cells=config.cells,
-            replicates=config.replicates,
-            seed=config.seed,
-            p=config.p,
-            workers=config.workers,
-        )
-        return report, None
-    report, scores = run_intro(
-        seed=config.seed, p=config.p, n_per_stratum=config.n_per_stratum
-    )
-    return report, scores

@@ -28,10 +28,6 @@ import numpy as np
 
 from .errors import DegenerateMatrix, DomainError, NotIdentifiable, NumericalError
 
-#: Iterations of strictly sign-alternating updates before the rescaling
-#: iteration is declared oscillating and a bisection fallback kicks in.
-_OSCILLATION_WINDOW = 10
-
 
 def _check_gamma(gamma: float) -> None:
     if gamma < 0:
@@ -186,29 +182,6 @@ def trace_gap(x: float, ratios: np.ndarray, p: int, gamma: float) -> float:
     return float(_debias_many(d[mask], gamma).sum() + p - k - x)
 
 
-def _bisect_normalizer(ratios, p, gamma, hi_start):
-    """Root of trace_gap on [p, hi]; None when no bracket can be found."""
-    from scipy import optimize
-
-    lo = float(p)
-    f_lo = trace_gap(lo, ratios, p, gamma)
-    if f_lo <= 0:
-        return lo
-    hi = max(float(hi_start), lo * 1.5)
-    for _ in range(80):
-        if trace_gap(hi, ratios, p, gamma) < 0:
-            break
-        hi *= 2.0
-    else:
-        return None
-    try:
-        return float(
-            optimize.brentq(trace_gap, lo, hi, args=(ratios, p, gamma), xtol=1e-12)
-        )
-    except ValueError:
-        return None
-
-
 def rescale_eigenvalues(
     d_star,
     p: int,
@@ -224,8 +197,8 @@ def rescale_eigenvalues(
     shares), the iteration alternates debiasing the values above the
     noise edge with re-estimating the total eigenvalue mass
     T = sum(lambda_hat) + p - k, until successive totals differ by at
-    most tol * p. A bisection fallback on the fixed-point residual
-    engages only if the totals oscillate.
+    most tol * p or a step reverses the previous one, which only
+    rounding at the fixed point can do.
 
     ``gamma`` overrides p / n for spectra whose aspect ratio is not
     that of the supplied matrix. If max_iter is exhausted the last
@@ -256,7 +229,7 @@ def rescale_eigenvalues(
     T = float(p)
     converged = False
     iterations = 0
-    deltas: list[float] = []
+    previous = 0.0
     for it in range(1, max_iter + 1):
         iterations = it
         d_hat = T * r
@@ -265,22 +238,14 @@ def rescale_eigenvalues(
         T_new = float(_debias_many(d_hat[mask], gamma).sum() + p - k_l)
         delta = T_new - T
         T = T_new
-        if abs(delta) <= tol * p:
+        # T -> sum(lambda_hat) + p - k never decreases: each lambda_hat has
+        # slope > 1/2 in d above the edge, and a component crossing the
+        # edge swaps a 1 for 1 + sqrt(gamma). So the iterates move one way,
+        # and a step against the previous one is rounding at the fixed point.
+        if abs(delta) <= tol * p or delta * previous < 0:
             converged = True
             break
-        deltas.append(delta)
-        if len(deltas) >= _OSCILLATION_WINDOW:
-            window = deltas[-_OSCILLATION_WINDOW:]
-            alternating = all(
-                window[i] * window[i + 1] < 0 for i in range(len(window) - 1)
-            )
-            if alternating:
-                root = _bisect_normalizer(r, p, gamma, hi_start=T)
-                if root is not None:
-                    T = root
-                    converged = True
-                    break
-                deltas.clear()
+        previous = delta
 
     tau = T
     d_hat = tau * r

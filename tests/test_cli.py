@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and output contracts."""
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -277,6 +278,44 @@ class TestSimulate:
         assert code == 0
         assert "mse_test_adjusted" in out
 
+    def test_study_dispatch(self, capsys, tmp_path):
+        # each study runs its own driver; only intro has a score dump
+        scores_path = tmp_path / "scores.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "table12", "--gamma", "1", "--n", "100",
+            "--replicates", "2", "--seed", "3", "--scores-out", str(scores_path),
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("two_spike,")
+        assert not scores_path.exists()
+        code, out, _ = run_cli(
+            capsys, "simulate", "intro", "--seed", "3", "--p", "300",
+            "--scores-out", str(scores_path),
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("intro,")
+        assert scores_path.exists()
+
+    def test_unknown_study_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "bogus", "--seed", "1")
+        assert code == 2
+        assert "invalid choice: 'bogus'" in err
+
+    def test_zero_replicates(self, capsys):
+        for study in ("table12", "table3"):
+            code, out, err = run_cli(
+                capsys, "simulate", study, "--replicates", "0", "--seed", "1"
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: replicates must be >= 1\n"
+        # intro is a single seeded run and takes no replicate count
+        code, _, _ = run_cli(
+            capsys, "simulate", "intro", "--replicates", "0", "--seed", "1",
+            "--p", "300",
+        )
+        assert code == 0
+
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run_cli(
@@ -300,19 +339,34 @@ class TestStdStreams:
 
 
 class TestColdStart:
-    def test_import_loads_no_scipy(self):
-        # scipy is imported on first use (quadrature, the rescaling
-        # fallback, normal variates), not by ``import spikepca``
+    @staticmethod
+    def scipy_modules_after(statements):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         )}
         code = (
-            "import sys, spikepca; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"import json, sys, spikepca; {statements}; "
+            "print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        return json.loads(result.stdout)
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on first use (quadrature, normal variates),
+        # not by ``import spikepca``
+        assert self.scipy_modules_after("pass") == []
+
+    def test_fit_and_rescale_load_no_scipy_optimize(self):
+        # the rescaling is a plain fixed-point iteration: no root finder
+        loaded = self.scipy_modules_after(
+            "import numpy as np; "
+            "X = np.random.default_rng(0).standard_normal((40, 20)); "
+            "spikepca.fit(spikepca.DataMatrix(X)); "
+            "spikepca.rescale_eigenvalues(np.linspace(5.0, 0.5, 20), 40, 20)"
+        )
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]

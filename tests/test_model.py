@@ -7,11 +7,16 @@ import pytest
 
 from spikepca import (
     DataMatrix,
+    FittedPcModel,
+    Preprocessing,
+    RescaledSpectrum,
+    SampleEigen,
     DegenerateMatrix,
     DegenerateRegressor,
     DimensionError,
     NotIdentifiable,
     debias_eigenvalue,
+    detection_threshold,
     fit,
     jackknife_shrinkage,
     pc_scores,
@@ -19,9 +24,11 @@ from spikepca import (
     pcr_mse,
     pcr_predict,
     predict,
+    read_model,
     sample_eigenvalue_limit,
     shrinkage_factor,
     standardize,
+    write_model,
 )
 import spikepca.model
 from spikepca.model import component_estimates
@@ -103,6 +110,47 @@ class TestFit:
         X = DataMatrix(rng.standard_normal((4, 6)))
         with pytest.raises(DimensionError):
             fit(X, mode="none", k=9)
+
+
+class TestSpikeRule:
+    def test_spike_at_the_edge_is_flagged_and_persists(self, tmp_path):
+        # one ulp above the noise edge, d_hat debiases to exactly the
+        # detection threshold: still one of the spectrum's k spikes
+        gamma = 0.16003500875218807
+        edge = 1.9601225258456323
+        assert edge == np.nextafter((1 + math.sqrt(gamma)) ** 2, np.inf)
+        assert debias_eigenvalue(edge, gamma) == detection_threshold(gamma)
+        d_hat = np.array([4.0, edge, 1.0])
+        lambda_hat = [debias_eigenvalue(d, gamma) for d in d_hat[:2]] + [1.0]
+        spectrum = RescaledSpectrum(
+            d_hat=d_hat,
+            lambda_hat=np.array(lambda_hat),
+            k=2,
+            tau=3.0,
+            gamma=gamma,
+            iterations=2,
+            converged=False,
+        )
+        shrink, corr, angle, ident = component_estimates(spectrum, 3)
+        np.testing.assert_array_equal(ident, [True, True, False])
+        assert shrink[1] == pytest.approx(1 / (1 + math.sqrt(gamma)), rel=1e-15)
+        assert np.isfinite(shrink[:2]).all() and np.isnan(shrink[2])
+        model = FittedPcModel(
+            prep=Preprocessing("none", np.zeros(3), np.ones(3)),
+            eig=SampleEigen(d=d_hat, U=np.eye(3), gamma=gamma),
+            spectrum=spectrum,
+            shrinkage=shrink,
+            score_corr=corr,
+            evec_angle=angle,
+            identifiable=ident,
+            n_samples=19,
+        )
+        path = tmp_path / "model.spca"
+        write_model(model, path)
+        loaded = read_model(path)
+        np.testing.assert_array_equal(loaded.identifiable, ident)
+        np.testing.assert_array_equal(loaded.shrinkage, shrink)
+        np.testing.assert_array_equal(loaded.adjustment, model.adjustment)
 
 
 class TestPredict:

@@ -11,7 +11,6 @@ from spikepca import (
     DegenerateInput,
     DimensionError,
     DomainError,
-    SimConfig,
     empirical_angle,
     empirical_shrinkage,
     fit,
@@ -22,7 +21,6 @@ from spikepca import (
     pcr_mse,
     pcr_predict,
     run_intro,
-    run_simulation,
     run_table3,
     run_table12,
     sample_eigen,
@@ -289,18 +287,8 @@ class TestDrivers:
         assert scores_again == scores_csv
         assert again.to_csv() == report.to_csv()
 
-    def test_run_simulation_dispatch(self):
-        config = SimConfig(design="two_spike", seed=3, replicates=2,
-                           gammas=(1.0,), ns=(100,))
-        report, scores = run_simulation(config)
-        assert scores is None
-        assert report.design == "two_spike"
-        config = SimConfig(design="intro", seed=3, p=300, n_per_stratum=(10, 6, 4))
-        report, scores = run_simulation(config)
-        assert scores is not None
-
-    def test_simconfig_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(design="bogus", seed=1)
-        with pytest.raises(ValueError):
-            SimConfig(design="intro", seed=1, replicates=0)
+    def test_replicates_validation(self):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            run_table12(gammas=(1.0,), ns=(100,), replicates=0, seed=1)
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            run_table3(cells=((30, 20),), replicates=0, seed=1, p=200)

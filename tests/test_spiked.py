@@ -272,6 +272,34 @@ class TestRescale:
         assert not spectrum.converged
         assert spectrum.iterations == 2
 
+    def test_stops_at_rounding_floor(self):
+        # tol * p is below one ulp of tau, so only a zero step would meet
+        # the tolerance; the iteration stops when a step reverses direction.
+        # The eigenvalues of a 113 x 37 noise-only matrix, written out so
+        # the case does not depend on the BLAS build.
+        d = np.array(
+            [
+                7.3100610595300664, 6.5411816318658991, 6.2820661978192875,
+                5.5868177692956458, 5.4100513508899484, 4.9144863966220385,
+                4.6515718436269919, 4.4063373649367881, 4.3449622601074278,
+                4.1132387729069642, 3.8500983590006852, 3.7119274827999695,
+                3.6154232136043714, 3.4498784730904957, 3.1767249035395833,
+                3.1129438110969634, 2.8861872354486713, 2.6757774801535406,
+                2.5388273321180392, 2.4026735414772982, 2.2646207094966861,
+                2.1404013333980965, 2.1126712879516094, 1.8249395772594337,
+                1.722234880903093, 1.6496923777078625, 1.6066191740675273,
+                1.4471153099188767, 1.399314025096144, 1.2672861125915549,
+                1.1955868757052261, 1.1344384686540809, 0.95535996398070677,
+                0.87597841744271998, 0.8457132335960178, 0.7299960958438042,
+                0.55151010231303566,
+            ]
+        )
+        p = 113
+        spectrum = rescale_eigenvalues(d, p, 37, tol=1e-17)
+        assert spectrum.converged
+        assert spectrum.iterations < 500
+        assert abs(trace_gap(spectrum.tau, d / d.sum(), p, spectrum.gamma)) <= 1e-15 * p
+
     def test_all_zero_spectrum(self):
         with pytest.raises(DegenerateMatrix):
             rescale_eigenvalues(np.zeros(5), 5, 10)
