@@ -2,8 +2,7 @@
 
 Conventions: stdout carries data (CSV / tables), stderr carries
 diagnostics; numeric output uses 17 significant digits; exit code 0 on
-success, 2 for input/usage problems, 3 for numerical failures. The
-SPCA_THREADS environment variable caps simulation parallelism.
+success, 2 for input/usage problems, 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -181,29 +180,17 @@ def _cmd_jackknife(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    # Only the options given are passed on, so the defaults live in the
-    # drivers alone. The drivers are looked up on the module at call time,
-    # so a wrapper installed on spikepca.simulate sees these calls.
-    def given(**options):
-        return {key: value for key, value in options.items() if value is not None}
+# Arguments of the simulate commands that the study drivers do not take.
+_FRONT_END_ARGS = ("command", "study", "func", "out", "scores_out")
 
-    scores_csv = None
-    if args.study == "table12":
-        report = simulate.run_table12(
-            seed=args.seed,
-            workers=args.workers,
-            **given(gammas=args.gamma, ns=args.n, replicates=args.replicates),
-        )
-    elif args.study == "table3":
-        report = simulate.run_table3(
-            seed=args.seed,
-            p=args.p,
-            workers=args.workers,
-            **given(cells=args.cell, replicates=args.replicates),
-        )
-    else:
-        report, scores_csv = simulate.run_intro(seed=args.seed, p=args.p)
+
+def _cmd_simulate(args) -> int:
+    # Driver options left out are absent from args, so their defaults live
+    # in the drivers alone. The driver is looked up on the module at call
+    # time, so a wrapper installed on spikepca.simulate sees the call.
+    options = {k: v for k, v in vars(args).items() if k not in _FRONT_END_ARGS}
+    result = getattr(simulate, f"run_{args.study}")(**options)
+    report, scores_csv = result if args.study == "intro" else (result, None)
     _emit(report.to_csv(), args.out)
     if scores_csv is not None and args.scores_out:
         Path(args.scores_out).write_text(scores_csv)
@@ -274,22 +261,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_jack.set_defaults(func=_cmd_jackknife)
 
     p_sim = sub.add_parser("simulate", help="run a seeded benchmark study")
-    p_sim.add_argument("study", choices=("intro", "table12", "table3"))
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--gamma", type=float, action="append",
-                       help="aspect ratio (repeatable; table12)")
-    p_sim.add_argument("--n", type=int, action="append",
-                       help="sample count (repeatable; table12)")
-    p_sim.add_argument("--cell", type=_cell_arg, action="append",
-                       help="N:G configuration (repeatable; table3)")
-    p_sim.add_argument("--p", type=int, default=5000,
-                       help="variable count (intro, table3)")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: SPCA_THREADS or 1)")
-    p_sim.add_argument("--out", help="write report CSV here (default stdout)")
-    p_sim.add_argument("--scores-out", help="write the intro score dump here")
-    p_sim.set_defaults(func=_cmd_simulate)
+    studies = p_sim.add_subparsers(dest="study", required=True)
+    sim_options = {
+        "--gamma": dict(dest="gammas", type=float, action="append", metavar="GAMMA",
+                        help="aspect ratio (repeatable)"),
+        "--n": dict(dest="ns", type=int, action="append", metavar="N",
+                    help="sample count (repeatable)"),
+        "--cell": dict(dest="cells", type=_cell_arg, action="append", metavar="N:G",
+                       help="(n, g) configuration (repeatable)"),
+        "--p": dict(type=int, help="variable count"),
+        "--replicates": dict(type=int),
+        "--workers": dict(type=int, help="worker threads"),
+        "--scores-out": dict(default=None, help="write the score dump here"),
+    }
+    for study, flags, help_text in (
+        ("intro", ("--p", "--scores-out"), "stratified shrinkage demonstration"),
+        ("table12", ("--gamma", "--n", "--replicates", "--workers"),
+         "eigenvector/score angles and shrinkage (Tables 1-2)"),
+        ("table3", ("--cell", "--p", "--replicates", "--workers"),
+         "PC-regression test MSE (Table 3)"),
+    ):
+        p_study = studies.add_parser(
+            study, help=help_text, argument_default=argparse.SUPPRESS
+        )
+        p_study.add_argument("--seed", type=int, required=True)
+        for flag in flags:
+            p_study.add_argument(flag, **sim_options[flag])
+        p_study.add_argument("--out", default=None,
+                             help="write report CSV here (default stdout)")
+        p_study.set_defaults(func=_cmd_simulate)
     return parser
 
 

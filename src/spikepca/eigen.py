@@ -45,22 +45,6 @@ class SampleEigen:
         return self.U.shape[0]
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Sample PC scores, one row per retained component (k x n)."""
-
-    scores: np.ndarray
-    normalized: bool = False
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[1]
-
-
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Make the largest-|entry| of each column positive (first on ties)."""
     if U.size == 0:
@@ -126,17 +110,13 @@ def _check_k(k: int, m: int) -> None:
         raise DimensionError(f"k must be in [1, {m}], got {k}")
 
 
-def pc_scores(X: DataMatrix, eig: SampleEigen, normalized: bool = False) -> ScoreMatrix:
+def pc_scores(X: DataMatrix, eig: SampleEigen) -> np.ndarray:
     """Project the training matrix onto the retained eigenvectors.
 
-    Row v is u_v^T X; with ``normalized`` each row is divided by
-    sqrt(n d_v), giving unit-norm score vectors.
+    Returns the k x n sample scores; row v is u_v^T X.
     """
     if eig.p != X.p:
         raise DimensionError(
             f"eigenvectors are for p={eig.p} variables, matrix has p={X.p}"
         )
-    scores = eig.U.T @ X.values
-    if normalized:
-        scores = scores / np.sqrt(X.n * eig.d[: eig.k, None])
-    return ScoreMatrix(scores=scores, normalized=normalized)
+    return eig.U.T @ X.values

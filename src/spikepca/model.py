@@ -248,7 +248,7 @@ def jackknife_shrinkage(
             f"component {component} is not a spike in the full-data fit "
             f"(k_spikes={full.k_spikes})"
         )
-    sample_row = pc_scores(Xs, full.eig).scores[component - 1]
+    sample_row = pc_scores(Xs, full.eig)[component - 1]
     mean_sq_sample = float(np.mean(sample_row**2))
 
     if mode == "center_scale":

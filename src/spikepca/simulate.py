@@ -9,8 +9,8 @@ byte and replicates can be evaluated in any order (or in parallel).
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -113,8 +113,7 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
     if p < 3:
         raise DimensionError(f"gamma * n rounds to p={p} < 3")
     rng = _as_rng(seed, "two_spike")
-    spike1 = 4 * (1 + math.sqrt(gamma))
-    spike2 = 2 * (1 + math.sqrt(gamma))
+    spike1, spike2 = two_spike_eigenvalues(gamma)
     X = 2.0 * standard_normal(rng, (p, n))
     X[0] *= math.sqrt(spike1)
     X[1] *= math.sqrt(spike2)
@@ -283,33 +282,95 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker thread count; defaults to the SPCA_THREADS env var (or 1)."""
-    if workers is None:
-        workers = int(os.environ.get("SPCA_THREADS", "1"))
-    return max(1, workers)
+def _run_study(design, replicate, cells, replicates, seed, workers, analytic=None):
+    """Report of ``replicate(rng, **cell)`` over the replicates of each cell.
 
-
-def _replicate_map(func, replicates: int, workers: int):
-    """Evaluate func(rep) for each replicate, order-stable regardless of pool."""
-    if workers <= 1:
-        return [func(rep) for rep in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, range(replicates)))
+    Replicate rep of the i-th cell draws from substream(seed, design, i,
+    rep), so the report is the same in any order and at any worker
+    count. ``replicate`` returns {(estimator, component): value}, in the
+    order the report lists them; a cell's gamma, n and g label its rows,
+    and ``analytic(estimator, component, gamma)`` gives the reference.
+    """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    design_id = _DESIGN_IDS[design]
+    rows = []
+    for index, cell in enumerate(cells):
+        streams = [substream(seed, design_id, index, rep) for rep in range(replicates)]
+        draw = functools.partial(replicate, **cell)
+        if workers <= 1:
+            results = [draw(rng) for rng in streams]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(draw, streams))
+        for estimator, component in results[0]:
+            rows.append(
+                EstimatorCell(
+                    design=design,
+                    estimator=estimator,
+                    component=component,
+                    gamma=cell.get("gamma"),
+                    n=cell["n"],
+                    g=cell.get("g"),
+                    analytic=None
+                    if analytic is None
+                    else analytic(estimator, component, cell["gamma"]),
+                    values=tuple(r[estimator, component] for r in results),
+                )
+            )
+    return SimulationReport(
+        design=design, seed=seed, replicates=replicates, cells=tuple(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-_TABLE12_ESTIMATORS = (
-    "evec_angle_empirical",
-    "evec_angle_plugin",
-    "score_angle_empirical",
-    "score_angle_plugin",
-    "shrinkage_empirical",
-    "shrinkage_plugin",
-)
+
+def _two_spike_replicate(rng, gamma, n) -> dict:
+    """Tables 1-2 estimators from one train/test draw of the two-spike design."""
+    train = gen_two_spike(n, gamma, rng)
+    test = gen_two_spike(n, gamma, rng)
+    model = fit(train, mode="none", k=2)
+    train_scores = pc_scores(train, model.eig)
+    test_scores = predict(model, test).naive
+    per_component = []
+    for v in range(2):
+        axis = np.zeros(train.p)
+        axis[v] = 1.0
+        ident = bool(model.identifiable[v])
+        per_component.append(
+            {
+                "evec_angle_empirical": empirical_angle(model.eig.U[:, v], axis),
+                "evec_angle_plugin": model.evec_angle[v] if ident else math.nan,
+                "score_angle_empirical": empirical_angle(
+                    train.values[v], train_scores[v]
+                ),
+                "score_angle_plugin": model.score_corr[v] if ident else math.nan,
+                "shrinkage_empirical": empirical_shrinkage(
+                    train_scores[v], test_scores[v]
+                ),
+                "shrinkage_plugin": model.shrinkage[v],
+            }
+        )
+    return {
+        (name, v + 1): values[name]
+        for name in per_component[0]
+        for v, values in enumerate(per_component)
+    }
+
+
+_TWO_SPIKE_LIMITS = {
+    "evec_angle": eigenvector_angle,
+    "score_angle": score_angle,
+    "shrinkage": shrinkage_factor,
+}
+
+
+def _two_spike_analytic(estimator: str, component: int, gamma: float) -> float:
+    limit = _TWO_SPIKE_LIMITS[estimator.rsplit("_", 1)[0]]
+    return limit(two_spike_eigenvalues(gamma)[component - 1], gamma)
 
 
 def run_table12(
@@ -317,7 +378,7 @@ def run_table12(
     ns=(100, 200),
     replicates: int = 200,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimulationReport:
     """Two-spike benchmark of the angle and shrinkage estimators.
 
@@ -327,73 +388,30 @@ def run_table12(
     values. Replicates where a component is classified as noise
     contribute no plug-in value (the `used` count reflects it).
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    workers = resolve_workers(workers)
-    cells = []
-    cell_index = 0
-    for gamma in gammas:
-        for n in ns:
-            this_cell = cell_index
-            cell_index += 1
-
-            def one(rep, gamma=gamma, n=n, this_cell=this_cell):
-                rng = substream(seed, _DESIGN_IDS["two_spike"], this_cell, rep)
-                train = gen_two_spike(n, gamma, rng)
-                test = gen_two_spike(n, gamma, rng)
-                model = fit(train, mode="none", k=2)
-                train_scores = pc_scores(
-                    train, model.eig
-                ).scores
-                test_scores = predict(model, test).naive
-                out = {}
-                for v in range(2):
-                    axis = np.zeros(train.p)
-                    axis[v] = 1.0
-                    ident = bool(model.identifiable[v])
-                    out[f"evec_angle_empirical:{v}"] = empirical_angle(
-                        model.eig.U[:, v], axis
-                    )
-                    out[f"evec_angle_plugin:{v}"] = (
-                        model.evec_angle[v] if ident else math.nan
-                    )
-                    out[f"score_angle_empirical:{v}"] = empirical_angle(
-                        train.values[v], train_scores[v]
-                    )
-                    out[f"score_angle_plugin:{v}"] = (
-                        model.score_corr[v] if ident else math.nan
-                    )
-                    out[f"shrinkage_empirical:{v}"] = empirical_shrinkage(
-                        train_scores[v], test_scores[v]
-                    )
-                    out[f"shrinkage_plugin:{v}"] = model.shrinkage[v]
-                return out
-
-            results = _replicate_map(one, replicates, workers)
-            spikes = two_spike_eigenvalues(gamma)
-            analytic = {
-                "evec_angle": [eigenvector_angle(s, gamma) for s in spikes],
-                "score_angle": [score_angle(s, gamma) for s in spikes],
-                "shrinkage": [shrinkage_factor(s, gamma) for s in spikes],
-            }
-            for name in _TABLE12_ESTIMATORS:
-                quantity = name.rsplit("_", 1)[0]
-                for v in range(2):
-                    cells.append(
-                        EstimatorCell(
-                            design="two_spike",
-                            estimator=name,
-                            component=v + 1,
-                            gamma=float(gamma),
-                            n=int(n),
-                            g=None,
-                            analytic=analytic[quantity][v],
-                            values=tuple(r[f"{name}:{v}"] for r in results),
-                        )
-                    )
-    return SimulationReport(
-        design="two_spike", seed=seed, replicates=replicates, cells=tuple(cells)
+    grid = [{"gamma": float(gamma), "n": int(n)} for gamma in gammas for n in ns]
+    return _run_study(
+        "two_spike", _two_spike_replicate, grid, replicates, seed, workers,
+        analytic=_two_spike_analytic,
     )
+
+
+def _pcr_replicate(rng, n, g, p) -> dict:
+    """Table 3 test and train MSEs from one train/test draw of the PCR design."""
+    X_train, y_train = gen_pcr(n, g, p, rng)
+    X_test, y_test = gen_pcr(n, g, p, rng)
+    model = fit(X_train, mode="center", k=1)
+    s_train = predict(model, X_train).naive[0]
+    coeffs = pcr_fit(s_train, y_train)
+    scores = predict(model, X_test)
+    return {
+        ("mse_test_unadjusted", 1): pcr_mse(
+            y_test, pcr_predict(coeffs, scores.naive[0])
+        ),
+        ("mse_test_adjusted", 1): pcr_mse(
+            y_test, pcr_predict(coeffs, scores.adjusted[0])
+        ),
+        ("mse_train", 1): pcr_mse(y_train, pcr_predict(coeffs, s_train)),
+    }
 
 
 def run_table3(
@@ -401,7 +419,7 @@ def run_table3(
     replicates: int = 100,
     seed: int = 0,
     p: int = 5000,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimulationReport:
     """PC-regression benchmark: test MSE with and without adjustment.
 
@@ -410,47 +428,8 @@ def run_table3(
     train set, regress the outcome on the first PC score, and evaluate
     test MSE using naive and bias-adjusted predicted scores.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    workers = resolve_workers(workers)
-    out_cells = []
-    for cell_idx, (n, g) in enumerate(cells):
-
-        def one(rep, n=n, g=g, cell_idx=cell_idx):
-            rng = substream(seed, _DESIGN_IDS["pcr"], cell_idx, rep)
-            X_train, y_train = gen_pcr(n, g, p, rng)
-            X_test, y_test = gen_pcr(n, g, p, rng)
-            model = fit(X_train, mode="center", k=1)
-            s_train = predict(model, X_train).naive[0]
-            coeffs = pcr_fit(s_train, y_train)
-            scores = predict(model, X_test)
-            return {
-                "mse_train": pcr_mse(y_train, pcr_predict(coeffs, s_train)),
-                "mse_test_unadjusted": pcr_mse(
-                    y_test, pcr_predict(coeffs, scores.naive[0])
-                ),
-                "mse_test_adjusted": pcr_mse(
-                    y_test, pcr_predict(coeffs, scores.adjusted[0])
-                ),
-            }
-
-        results = _replicate_map(one, replicates, workers)
-        for name in ("mse_test_unadjusted", "mse_test_adjusted", "mse_train"):
-            out_cells.append(
-                EstimatorCell(
-                    design="pcr",
-                    estimator=name,
-                    component=1,
-                    gamma=None,
-                    n=int(n),
-                    g=int(g),
-                    analytic=None,
-                    values=tuple(r[name] for r in results),
-                )
-            )
-    return SimulationReport(
-        design="pcr", seed=seed, replicates=replicates, cells=tuple(out_cells)
-    )
+    grid = [{"n": int(n), "g": int(g), "p": p} for n, g in cells]
+    return _run_study("pcr", _pcr_replicate, grid, replicates, seed, workers)
 
 
 INTRO_SCORES_HEADER = "set,stratum,pc1,pc2,pc1_adj,pc2_adj"

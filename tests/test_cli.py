@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 from spikepca import DataMatrix, gen_two_spike, write_matrix
 import spikepca.cli
 import spikepca.model
-from spikepca.cli import main
+from spikepca.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,20 @@ class TestFit:
     def test_k_zero_is_usage_error(self, capsys, two_spike_csv):
         code, _, err = run_cli(capsys, "fit", str(two_spike_csv), "--k", "0")
         assert code == 2
+
+    def test_k_not_an_integer_is_usage_error(self, capsys, two_spike_csv):
+        code, out, err = run_cli(capsys, "fit", str(two_spike_csv), "--k", "abc")
+        assert code == 2
+        assert out == ""
+        assert "--k must be 'auto' or an integer, got 'abc'" in err
+
+    def test_two_samples_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("1,2\n3,5\n4,1\n")
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: need at least 3 samples, got 2\n"
 
     def test_constant_row_center_scale_exits_3(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
@@ -108,7 +125,7 @@ class TestPredict:
         from spikepca import fit as fit_model, pc_scores
 
         model = fit_model(X, mode="none", k=2)
-        scores = pc_scores(X, model.eig).scores
+        scores = pc_scores(X, model.eig)
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(scores[0, 0], rel=1e-12)
 
@@ -215,6 +232,27 @@ class TestRescale:
             assert float(fields[3]) == pytest.approx(8 * ratios[i], rel=1e-12)
             assert fields[5] == "false"
 
+    def test_matrix_input_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "eigs.csv"
+        path.write_text("4,3\n2,1\n")
+        code, out, err = run_cli(capsys, "rescale", str(path), "--p", "4", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "expected a single row or column of eigenvalues" in err
+
+    def test_warns_when_rescaling_does_not_converge(self, capsys, tmp_path):
+        path = tmp_path / "eigs.csv"
+        path.write_text("9\n1\n1\n1\n")
+        argv = ("rescale", str(path), "--p", "4", "--n", "40")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "converged=true" in out.splitlines()[0]
+        assert err == ""
+        code, out, err = run_cli(capsys, *argv, "--max-iter", "1")
+        assert code == 0
+        assert "iterations=1 converged=false" in out.splitlines()[0]
+        assert err == "warning: rescaling did not converge\n"
+
     def test_gamma_override(self, capsys, tmp_path):
         path = tmp_path / "eigs.csv"
         path.write_text("40\n3\n2\n1\n")
@@ -283,10 +321,17 @@ class TestSimulate:
         scores_path = tmp_path / "scores.csv"
         code, out, _ = run_cli(
             capsys, "simulate", "table12", "--gamma", "1", "--n", "100",
-            "--replicates", "2", "--seed", "3", "--scores-out", str(scores_path),
+            "--replicates", "2", "--seed", "3",
         )
         assert code == 0
         assert out.splitlines()[1].startswith("two_spike,")
+        code, out, err = run_cli(
+            capsys, "simulate", "table12", "--gamma", "1", "--n", "100",
+            "--replicates", "2", "--seed", "3", "--scores-out", str(scores_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --scores-out" in err
         assert not scores_path.exists()
         code, out, _ = run_cli(
             capsys, "simulate", "intro", "--seed", "3", "--p", "300",
@@ -310,11 +355,37 @@ class TestSimulate:
             assert out == ""
             assert err == "error: replicates must be >= 1\n"
         # intro is a single seeded run and takes no replicate count
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "simulate", "intro", "--replicates", "0", "--seed", "1",
             "--p", "300",
         )
-        assert code == 0
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --replicates 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("intro", "--replicates", "0"),
+        ("table3", "--gamma", "5"),
+        ("table3", "--n", "7"),
+        ("table12", "--cell", "1:2"),
+        ("table12", "--p", "9"),
+        ("table12", "--scores-out", "x.csv"),
+    ])
+    def test_foreign_option_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_cell_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "table3", "--cell", "100", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "expected N:G (e.g. 100:300), got '100'" in err
 
     def test_report_written_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
@@ -325,6 +396,57 @@ class TestSimulate:
         assert code == 0
         assert out == ""  # data went to the file
         assert out_path.read_text().startswith("design,")
+
+
+# Runs perfbench/run.py's table12 workload with its child runs stubbed out
+# and prints the spikepca argv of every operation it would run.
+PERFBENCH_ARGV = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import run
+argvs = []
+def op(label, args, check=None, **kw):
+    argvs.append([str(a) for a in args[2:]])
+    return 1.0, b""
+def traced(b, ops):
+    argvs.extend([str(a) for a in argv] for _, argv, *_ in ops)
+    return {}, 1.0
+run.closed_loop = lambda step, seconds: step()
+run.traced_cli_ops = traced
+for trace in (False, True):
+    run.table12_workload(types.SimpleNamespace(
+        sizes=run.Sizes(), seed=7, trace=trace, setup_s=lambda: 0.0,
+        op=op, sample=lambda *a: None))
+print(json.dumps(argvs))
+"""
+
+
+class TestSimulateSurface:
+    """The simulate commands that the README and the benchmark run parse."""
+
+    def test_readme_commands_parse(self):
+        text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+        commands = [
+            shlex.split(line, comments=True)[1:]
+            for line in text.splitlines()
+            if line.startswith("spikepca simulate ")
+        ]
+        assert {argv[1] for argv in commands} == {"intro", "table12", "table3"}
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_benchmark_table12_argv_parses(self):
+        result = subprocess.run(
+            [sys.executable, "-B", "-c", PERFBENCH_ARGV, str(ROOT / "perfbench")],
+            capture_output=True, text=True, cwd=ROOT,
+        )
+        assert result.returncode == 0, result.stderr
+        commands = json.loads(result.stdout)
+        assert commands
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            assert args.study == "table12"
+            assert {"gammas", "ns", "replicates", "workers"} <= set(vars(args))
 
 
 class TestStdStreams:
@@ -357,8 +479,8 @@ class TestColdStart:
         return json.loads(result.stdout)
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported on first use (quadrature, normal variates),
-        # not by ``import spikepca``
+        # scipy is imported on first use (normal variates), not by
+        # ``import spikepca``
         assert self.scipy_modules_after("pass") == []
 
     def test_fit_and_rescale_load_no_scipy_optimize(self):

@@ -123,7 +123,7 @@ class TestScores:
         eig = sample_eigen(X, 1)
         scores = pc_scores(X, eig)
         np.testing.assert_allclose(
-            scores.scores[0], row * (np.linalg.norm([3.0, 4.0])) / 5, atol=1e-12
+            scores[0], row * (np.linalg.norm([3.0, 4.0])) / 5, atol=1e-12
         )
 
     def test_squared_norm_identity(self):
@@ -131,17 +131,8 @@ class TestScores:
         X = DataMatrix(rng.standard_normal((12, 20)))
         eig = sample_eigen(X, 5)
         scores = pc_scores(X, eig)
-        norms = np.sum(scores.scores**2, axis=1)
+        norms = np.sum(scores**2, axis=1)
         np.testing.assert_allclose(norms, X.n * eig.d[:5], rtol=1e-8)
-
-    def test_normalized_rows_have_unit_norm(self):
-        rng = np.random.default_rng(10)
-        X = DataMatrix(rng.standard_normal((12, 20)))
-        eig = sample_eigen(X, 4)
-        scores = pc_scores(X, eig, normalized=True)
-        np.testing.assert_allclose(
-            np.linalg.norm(scores.scores, axis=1), np.ones(4), rtol=1e-10
-        )
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
@@ -171,7 +162,7 @@ class TestProjectNew:
     def test_training_column_matches_score_matrix(self, model):
         scores = pc_scores(self.X, model.eig)
         q = predict(model, self.X.values[:, 4]).naive[:, 0]
-        np.testing.assert_allclose(q, scores.scores[:, 4], atol=1e-12)
+        np.testing.assert_allclose(q, scores[:, 4], atol=1e-12)
 
     def test_zero_vector(self, model):
         np.testing.assert_array_equal(predict(model, np.zeros(10)).naive, np.zeros((3, 1)))

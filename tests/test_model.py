@@ -14,6 +14,7 @@ from spikepca import (
     DegenerateMatrix,
     DegenerateRegressor,
     DimensionError,
+    DomainError,
     NotIdentifiable,
     debias_eigenvalue,
     detection_threshold,
@@ -158,7 +159,7 @@ class TestPredict:
         X, model = two_spike_model
         scores = pc_scores(X, model.eig)  # mode "none": standardized == raw
         pred = predict(model, X)
-        np.testing.assert_allclose(pred.naive, scores.scores, atol=1e-10)
+        np.testing.assert_allclose(pred.naive, scores, atol=1e-10)
 
     def test_round_trip_with_standardization(self):
         rng = np.random.default_rng(5)
@@ -169,7 +170,7 @@ class TestPredict:
         Xs, _ = standardize(X, "center_scale")
         scores = pc_scores(Xs, model.eig)
         pred = predict(model, X)
-        np.testing.assert_allclose(pred.naive, scores.scores, atol=1e-10)
+        np.testing.assert_allclose(pred.naive, scores, atol=1e-10)
 
     def test_zero_column_gives_zero_scores(self, two_spike_model):
         _, model = two_spike_model
@@ -197,6 +198,13 @@ class TestPredict:
         _, model = two_spike_model
         with pytest.raises(DimensionError):
             predict(model, np.zeros((model.p + 1, 2)))
+
+    def test_non_finite_new_samples_rejected(self, two_spike_model):
+        _, model = two_spike_model
+        new = np.zeros((model.p, 2))
+        new[3, 1] = np.nan
+        with pytest.raises(DomainError, match="new samples contain non-finite values"):
+            predict(model, new)
 
     def test_shrinkage_direction(self, two_spike_model):
         # out-of-sample squared scores are smaller than in-sample ones
@@ -267,7 +275,7 @@ def refit_jackknife(X, mode, component):
     """The leave-one-out jackknife as n + 1 full refits: (value, used, excluded)."""
     full = fit(X, mode, k=component)
     Xs, _ = standardize(X, mode)
-    mean_sq_sample = float(np.mean(pc_scores(Xs, full.eig).scores[component - 1] ** 2))
+    mean_sq_sample = float(np.mean(pc_scores(Xs, full.eig)[component - 1] ** 2))
     predicted_sq = []
     for j in range(X.n):
         refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)

@@ -23,7 +23,7 @@ from spikepca import (
     shrinkage_factor,
 )
 from spikepca.simulate import standard_normal, substream
-from spikepca.spiked import MpLaw, mp_edges, mp_integral, trace_gap
+from mp_oracles import MpLaw, mp_edges, mp_integral, trace_gap
 
 GAMMA_GRID = [0.1, 1.0, 20.0, 100.0, 500.0]
 
