@@ -2,9 +2,10 @@
 experiment drivers that benchmark the asymptotic estimators.
 
 All randomness flows through counter-based Philox streams keyed by
-(seed, design, cell, replicate), and normal variates are produced by
-inverse-CDF from 53-bit uniforms, so every run is reproducible byte for
-byte and replicates can be evaluated in any order (or in parallel).
+(seed, design, cell, replicate), and normal and chi-square variates are
+produced by inverse-CDF from 53-bit uniforms, so every run is
+reproducible byte for byte and replicates can be evaluated in any order
+(or in parallel).
 """
 
 from __future__ import annotations
@@ -16,15 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import pc_scores
+from .eigen import descending_eigh, pc_scores
 from .errors import (
     DegenerateInput,
     DimensionError,
     DomainError,
 )
 from .matrix_io import DataMatrix, _fmt
-from .model import fit, pcr_fit, pcr_mse, pcr_predict, predict
-from .spiked import eigenvector_angle, score_angle, shrinkage_factor
+from .model import component_estimates, fit, pcr_fit, pcr_mse, pcr_predict, predict
+from .spiked import (
+    eigenvector_angle,
+    rescale_eigenvalues,
+    score_angle,
+    shrinkage_factor,
+)
 
 _DESIGN_IDS = {"intro": 0, "two_spike": 1, "pcr": 2}
 
@@ -45,12 +51,17 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     )
 
 
+def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    """Strictly interior 53-bit uniforms on (0, 1), the source of every variate."""
+    bits = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
+    return (bits.astype(np.float64) + 0.5) * 2.0**-53
+
+
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """N(0,1) variates via inverse-CDF of strictly interior 53-bit uniforms."""
     from scipy.special import ndtri
 
-    bits = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return ndtri((bits.astype(np.float64) + 0.5) * 2.0**-53)
+    return ndtri(_uniform(rng, shape))
 
 
 def _as_rng(seed_or_rng, design: str) -> np.random.Generator:
@@ -109,7 +120,7 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if n < 4:
         raise DimensionError(f"need n >= 4, got {n}")
-    p = int(round(gamma * n))
+    p = _two_spike_p(gamma, n)
     if p < 3:
         raise DimensionError(f"gamma * n rounds to p={p} < 3")
     rng = _as_rng(seed, "two_spike")
@@ -118,6 +129,35 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
     X[0] *= math.sqrt(spike1)
     X[1] *= math.sqrt(spike2)
     return DataMatrix(X)
+
+
+def _two_spike_p(gamma: float, n: int) -> int:
+    """Variable count of the two-spike design with n samples."""
+    return int(round(gamma * n))
+
+
+def _two_spike_proxy(rng: np.random.Generator, gamma: float, n: int) -> np.ndarray:
+    """A joint train/test draw of gen_two_spike in rotated coordinates.
+
+    Rotating the p - 2 noise coordinates of the p x 2n draw by the Q of
+    their QR decomposition keeps the two spike rows and the Gram matrix,
+    so it changes no sign- and rotation-invariant estimator, and leaves
+    a 2n x 2n upper-triangular noise block R with R^T R ~ 4 Wishart_2n(
+    p - 2, I). Bartlett's decomposition draws R = 2 L^T directly: L is
+    lower triangular with N(0, 1) entries below the diagonal and
+    sqrt(chi^2_{p-2-i}) on diagonal entry i, the chi-square variates by
+    inverse CDF of the 53-bit uniforms. Returns the (2n + 2) x 2n matrix
+    [spike rows; R], train samples first. Needs p - 2 >= 2n.
+    """
+    from scipy.special import chdtri
+
+    p, m = _two_spike_p(gamma, n), 2 * n
+    rows = 2.0 * standard_normal(rng, (2, m))
+    rows *= np.sqrt(two_spike_eigenvalues(gamma))[:, None]
+    L = np.zeros((m, m))
+    L[np.tril_indices(m, -1)] = standard_normal(rng, m * (m - 1) // 2)
+    L[np.diag_indices(m)] = np.sqrt(chdtri(p - 2 - np.arange(m), _uniform(rng, m)))
+    return np.vstack([rows, 2.0 * L.T])
 
 
 def two_spike_eigenvalues(gamma: float) -> tuple[float, float]:
@@ -293,12 +333,14 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     design_id = _DESIGN_IDS[design]
     rows = []
     for index, cell in enumerate(cells):
         streams = [substream(seed, design_id, index, rep) for rep in range(replicates)]
         draw = functools.partial(replicate, **cell)
-        if workers <= 1:
+        if workers == 1:
             results = [draw(rng) for rng in streams]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -328,30 +370,31 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
 # ---------------------------------------------------------------------------
 
 
-def _two_spike_replicate(rng, gamma, n) -> dict:
-    """Tables 1-2 estimators from one train/test draw of the two-spike design."""
-    train = gen_two_spike(n, gamma, rng)
-    test = gen_two_spike(n, gamma, rng)
-    model = fit(train, mode="none", k=2)
-    train_scores = pc_scores(train, model.eig)
-    test_scores = predict(model, test).naive
+def _two_spike_estimators(U, spike_rows, train_scores, test_scores, estimates) -> dict:
+    """The six Tables 1-2 estimators per component of one fitted draw.
+
+    U holds the two kept eigenvectors in coordinates whose first two axes
+    are the population spike directions, spike_rows the train values on
+    those axes, and estimates is component_estimates' output.
+    """
+    shrink, corr, angle, identifiable = estimates
     per_component = []
     for v in range(2):
-        axis = np.zeros(train.p)
+        axis = np.zeros(U.shape[0])
         axis[v] = 1.0
-        ident = bool(model.identifiable[v])
+        ident = bool(identifiable[v])
         per_component.append(
             {
-                "evec_angle_empirical": empirical_angle(model.eig.U[:, v], axis),
-                "evec_angle_plugin": model.evec_angle[v] if ident else math.nan,
+                "evec_angle_empirical": empirical_angle(U[:, v], axis),
+                "evec_angle_plugin": angle[v] if ident else math.nan,
                 "score_angle_empirical": empirical_angle(
-                    train.values[v], train_scores[v]
+                    spike_rows[v], train_scores[v]
                 ),
-                "score_angle_plugin": model.score_corr[v] if ident else math.nan,
+                "score_angle_plugin": corr[v] if ident else math.nan,
                 "shrinkage_empirical": empirical_shrinkage(
                     train_scores[v], test_scores[v]
                 ),
-                "shrinkage_plugin": model.shrinkage[v],
+                "shrinkage_plugin": shrink[v],
             }
         )
     return {
@@ -359,6 +402,38 @@ def _two_spike_replicate(rng, gamma, n) -> dict:
         for name in per_component[0]
         for v, values in enumerate(per_component)
     }
+
+
+def _two_spike_replicate(rng, gamma, n) -> dict:
+    """Tables 1-2 estimators from one train/test draw of the two-spike design."""
+    train = gen_two_spike(n, gamma, rng)
+    test = gen_two_spike(n, gamma, rng)
+    model = fit(train, mode="none", k=2)
+    return _two_spike_estimators(
+        model.eig.U,
+        train.values,
+        pc_scores(train, model.eig),
+        predict(model, test).naive,
+        (model.shrinkage, model.score_corr, model.evec_angle, model.identifiable),
+    )
+
+
+def _reduced_two_spike_replicate(rng, gamma, n) -> dict:
+    """The estimators of _two_spike_replicate, from _two_spike_proxy's draw."""
+    p = _two_spike_p(gamma, n)
+    X = _two_spike_proxy(rng, gamma, n)
+    train, test = X[:, :n], X[:, n:]
+    d, H, _ = descending_eigh(train.T @ train / n, n)
+    estimates = component_estimates(rescale_eigenvalues(d, p, n), 2)
+    U = train @ (H[:, :2] / np.sqrt(n * d[:2]))
+    return _two_spike_estimators(U, train, U.T @ train, U.T @ test, estimates)
+
+
+def _table12_replicate(rng, gamma, n) -> dict:
+    """The reduced replicate where Bartlett applies (p - 2 >= 2n), else the direct."""
+    if _two_spike_p(gamma, n) - 2 >= 2 * n:
+        return _reduced_two_spike_replicate(rng, gamma, n)
+    return _two_spike_replicate(rng, gamma, n)
 
 
 _TWO_SPIKE_LIMITS = {
@@ -386,11 +461,25 @@ def run_table12(
     on the train set (raw second moments, two retained components), and
     record the empirical and plug-in estimators next to their analytic
     values. Replicates where a component is classified as noise
-    contribute no plug-in value (the `used` count reflects it).
+    contribute no plug-in value (the `used` count reflects it). Cells
+    with p - 2 >= 2n draw the rotated data of _two_spike_proxy instead
+    of the p x n matrices. Raises ValueError for a cell gen_two_spike
+    would reject, before any draw.
     """
     grid = [{"gamma": float(gamma), "n": int(n)} for gamma in gammas for n in ns]
+    for cell in grid:
+        gamma, n = cell["gamma"], cell["n"]
+        if not (math.isfinite(gamma) and gamma > 0):
+            problem = "gamma must be positive and finite"
+        elif n < 4:
+            problem = "need n >= 4"
+        elif not (math.isfinite(gamma * n) and _two_spike_p(gamma, n) >= 3):
+            problem = "gamma * n must round to a finite p >= 3"
+        else:
+            continue
+        raise ValueError(f"table12 cell gamma={gamma:g}, n={n}: {problem}")
     return _run_study(
-        "two_spike", _two_spike_replicate, grid, replicates, seed, workers,
+        "two_spike", _table12_replicate, grid, replicates, seed, workers,
         analytic=_two_spike_analytic,
     )
 
@@ -426,9 +515,21 @@ def run_table3(
     Per replicate: draw independent train/test sets from the same
     (n, g) configuration, fit a one-component model on the centered
     train set, regress the outcome on the first PC score, and evaluate
-    test MSE using naive and bias-adjusted predicted scores.
+    test MSE using naive and bias-adjusted predicted scores. Raises
+    ValueError for a cell gen_pcr would reject, before any draw.
     """
     grid = [{"n": int(n), "g": int(g), "p": p} for n, g in cells]
+    for cell in grid:
+        n, g = cell["n"], cell["g"]
+        if n < 2:
+            problem = "need n >= 2"
+        elif n % 2:
+            problem = "n must be even"
+        elif not 1 <= g < p:
+            problem = f"g must satisfy 1 <= g < p={p}"
+        else:
+            continue
+        raise ValueError(f"table3 cell n={n}, g={g}: {problem}")
     return _run_study("pcr", _pcr_replicate, grid, replicates, seed, workers)
 
 

@@ -363,6 +363,27 @@ class TestSimulate:
         assert out == ""
         assert "unrecognized arguments: --replicates 0" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys, "simulate", "table12", "--gamma", "1", "--n", "20",
+            "--replicates", "2", "--seed", "1", "--workers", workers,
+        )
+        assert (code, out, err) == (2, "", "error: workers must be >= 1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("table12", "--gamma", "-1", "--n", "20"),
+         "table12 cell gamma=-1, n=20: gamma must be positive and finite"),
+        (("table12", "--gamma", "100", "--n", "2"),
+         "table12 cell gamma=100, n=2: need n >= 4"),
+        (("table3", "--p", "10", "--cell", "10:20"),
+         "table3 cell n=10, g=20: g must satisfy 1 <= g < p=10"),
+        (("table3", "--cell", "11:20"), "table3 cell n=11, g=20: n must be even"),
+    ])
+    def test_invalid_cell_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("intro", "--replicates", "0"),
         ("table3", "--gamma", "5"),

@@ -25,9 +25,13 @@ from spikepca import (
     run_table12,
     sample_eigen,
 )
+from spikepca import simulate
 from spikepca.simulate import (
     INTRO_SCORES_HEADER,
+    _reduced_two_spike_replicate,
     _stratum_means,
+    _two_spike_proxy,
+    _two_spike_replicate,
     standard_normal,
     substream,
 )
@@ -51,6 +55,26 @@ class TestRng:
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1) < 0.01
         assert np.isfinite(z).all()
+
+    def test_proxy_noise_gram_has_wishart_moments(self):
+        # gamma=2.5, n=4: p=10, so the 8 x 8 noise Gram W = R^T R / 4 of the
+        # proxy should be Wishart_8(8, I): E[W] = 8 I, Var(W_ii) = 2 * 8 and
+        # Var(W_ij) = 8 off the diagonal. Over N draws the entry means have
+        # standard error sqrt(Var / N); a chi^2_8 sample variance has
+        # standard error sqrt((8 * 8^2 + 48 * 8) / N).
+        dof, dim, N = 8, 8, 20_000
+        rng = substream(3, 0, 0, 0)
+        W = np.empty((N, dim, dim))
+        for i in range(N):
+            X = _two_spike_proxy(rng, 2.5, 4)
+            assert X.shape == (dim + 2, dim)
+            assert (np.tril(X[2:], -1) == 0).all()
+            W[i] = X[2:].T @ X[2:] / 4
+        var = np.where(np.eye(dim) == 1, 2.0 * dof, float(dof))
+        assert (np.abs(W.mean(axis=0) - dof * np.eye(dim)) < 4 * np.sqrt(var / N)).all()
+        diag_var = W[:, range(dim), range(dim)].var(axis=0)
+        diag_se = math.sqrt((8 * dof**2 + 48 * dof) / N)
+        assert (np.abs(diag_var - 2 * dof) < 4 * diag_se).all()
 
 
 class TestGenIntro:
@@ -214,17 +238,80 @@ class TestDrivers:
             assert sd == 0.0
             assert used <= 1
 
+    # gamma=1 cells take the direct draw, gamma=20 cells the reduced one
     def test_report_reproducible(self):
-        a = run_table12(gammas=(1.0,), ns=(100,), replicates=3, seed=5).to_csv()
-        b = run_table12(gammas=(1.0,), ns=(100,), replicates=3, seed=5).to_csv()
+        a = run_table12(gammas=(1.0, 20.0), ns=(100,), replicates=3, seed=5).to_csv()
+        b = run_table12(gammas=(1.0, 20.0), ns=(100,), replicates=3, seed=5).to_csv()
         assert a == b
 
     def test_workers_do_not_change_results(self):
-        base = run_table12(gammas=(1.0,), ns=(100,), replicates=4, seed=5).to_csv()
+        base = run_table12(
+            gammas=(1.0, 20.0), ns=(100,), replicates=4, seed=5
+        ).to_csv()
         threaded = run_table12(
-            gammas=(1.0,), ns=(100,), replicates=4, seed=5, workers=3
+            gammas=(1.0, 20.0), ns=(100,), replicates=4, seed=5, workers=3
         ).to_csv()
         assert base == threaded
+
+    @pytest.mark.parametrize("p, direct", [(21, True), (22, False)])
+    def test_table12_draw_follows_bartlett_rule(self, monkeypatch, p, direct):
+        # Bartlett's decomposition needs p - 2 >= 2n: at n=10, p=21 is one
+        # short and draws directly, p=22 takes the reduced draw
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gen_two_spike(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "gen_two_spike", counting)
+        report = run_table12(gammas=(p / 10,), ns=(10,), replicates=2, seed=5)
+        assert len(calls) == (4 if direct else 0)
+        assert [c.gamma for c in report.cells] == [p / 10] * 12
+
+    def test_reduced_replicate_is_direct_replicate_rotated(self, monkeypatch):
+        # Feed both replicates one direct draw: the reduced one sees its
+        # spike rows and the R of the QR decomposition of its noise rows.
+        # Every estimator is rotation invariant, so they must agree.
+        n, gamma = 10, 20.0
+        rng = substream(4, 1, 0, 0)
+        train, test = gen_two_spike(n, gamma, rng), gen_two_spike(n, gamma, rng)
+        joint = np.hstack([train.values, test.values])
+        proxy = np.vstack([joint[:2], np.linalg.qr(joint[2:], mode="r")])
+        draws = iter([train, test])
+        monkeypatch.setattr(simulate, "gen_two_spike", lambda *args: next(draws))
+        monkeypatch.setattr(simulate, "_two_spike_proxy", lambda *args: proxy)
+        direct = _two_spike_replicate(None, gamma, n)
+        reduced = _reduced_two_spike_replicate(None, gamma, n)
+        assert reduced.keys() == direct.keys()
+        for key, value in direct.items():
+            assert reduced[key] == pytest.approx(value, rel=1e-9, nan_ok=True), key
+
+    def test_reduced_replicate_matches_direct(self):
+        # Two independent samples, one per draw, of every estimator at
+        # gamma=20, n=10 (p=200). Identical distributions give |z| <= 4 for
+        # the mean difference and an SD ratio in [0.8, 1.25] here; larger n
+        # makes the angle estimators heavy-tailed (rare swaps of the two
+        # spike components), which puts the SD ratio of 1000-rep samples
+        # outside that range often even when the draws agree.
+        reps = 1000
+        direct = [
+            _two_spike_replicate(substream(21, 1, 0, r), 20.0, 10) for r in range(reps)
+        ]
+        reduced = [
+            _reduced_two_spike_replicate(substream(22, 1, 0, r), 20.0, 10)
+            for r in range(reps)
+        ]
+        assert direct[0].keys() == reduced[0].keys()
+        problems = []
+        for key in direct[0]:
+            a = np.array([r[key] for r in direct])
+            b = np.array([r[key] for r in reduced])
+            a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+            z = (b.mean() - a.mean()) / math.sqrt(a.var() / a.size + b.var() / b.size)
+            ratio = b.std() / a.std()
+            if not (abs(z) <= 4 and 0.8 <= ratio <= 1.25):
+                problems.append((key, z, ratio))
+        assert problems == []
 
     def test_table12_estimates_in_range(self):
         report = run_table12(gammas=(1.0,), ns=(100,), replicates=10, seed=5)
@@ -289,3 +376,38 @@ class TestDrivers:
             run_table12(gammas=(1.0,), ns=(100,), replicates=0, seed=1)
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             run_table3(cells=((30, 20),), replicates=0, seed=1, p=200)
+
+    def test_workers_validation(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run_table12(gammas=(1.0,), ns=(20,), replicates=1, seed=1,
+                            workers=workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run_table3(cells=((30, 20),), replicates=1, seed=1, p=200,
+                           workers=workers)
+
+    @pytest.mark.parametrize("gamma, n, message", [
+        (-1.0, 20, "table12 cell gamma=-1, n=20: gamma must be positive"),
+        (0.0, 20, "table12 cell gamma=0, n=20: gamma must be positive"),
+        (math.inf, 20, "table12 cell gamma=inf, n=20: gamma must be positive"),
+        (math.nan, 20, "table12 cell gamma=nan, n=20: gamma must be positive"),
+        (100.0, 2, "table12 cell gamma=1, n=2: need n >= 4"),
+        (0.1, 20, "table12 cell gamma=0.1, n=20: gamma \\* n must round to a finite p"),
+        (1e308, 20, "cell gamma=1e\\+308, n=20: gamma \\* n must round to a finite p"),
+    ])
+    def test_table12_grid_validation(self, monkeypatch, gamma, n, message):
+        # a bad cell anywhere in the grid is rejected before any draw
+        monkeypatch.setattr(simulate, "_run_study", None)
+        with pytest.raises(ValueError, match=message):
+            run_table12(gammas=(1.0, gamma), ns=(20, n), seed=1)
+
+    @pytest.mark.parametrize("n, g, p, message", [
+        (11, 20, 200, "table3 cell n=11, g=20: n must be even"),
+        (0, 20, 200, "table3 cell n=0, g=20: need n >= 2"),
+        (10, 20, 10, "table3 cell n=10, g=20: g must satisfy 1 <= g < p=10"),
+        (10, 0, 200, "table3 cell n=10, g=0: g must satisfy 1 <= g < p=200"),
+    ])
+    def test_table3_grid_validation(self, monkeypatch, n, g, p, message):
+        monkeypatch.setattr(simulate, "_run_study", None)
+        with pytest.raises(ValueError, match=message):
+            run_table3(cells=((30, 5), (n, g)), seed=1, p=p)
