@@ -64,6 +64,16 @@ def _parse_k(value: str):
     return k
 
 
+def _positive_int(value: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _cmd_fit(args) -> int:
     X = DataMatrix(_load_matrix(args.matrix, args.orientation, min_samples=3))
     model = fit(X, mode=_MODE_CHOICES[args.mode], k=args.k)
@@ -243,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("rescale", help="rescale an externally computed spectrum")
     p_res.add_argument("eigenvalues", help="CSV with one eigenvalue per line")
-    p_res.add_argument("--p", type=int, required=True, help="variable count")
-    p_res.add_argument("--n", type=int, required=True, help="sample count")
+    p_res.add_argument("--p", type=_positive_int, required=True,
+                       help="variable count")
+    p_res.add_argument("--n", type=_positive_int, required=True,
+                       help="sample count")
     p_res.add_argument("--gamma", type=float, default=None,
                        help="override the aspect ratio p/n")
     p_res.add_argument("--tol", type=float, default=1e-10)
@@ -254,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jack = sub.add_parser("jackknife", help="leave-one-out shrinkage estimate")
     p_jack.add_argument("matrix", help="training matrix CSV")
-    p_jack.add_argument("--pc", type=int, required=True, help="component index (1-based)")
+    p_jack.add_argument("--pc", type=_positive_int, required=True,
+                        help="component index (1-based)")
     p_jack.add_argument("--mode", choices=sorted(_MODE_CHOICES), default="center")
     p_jack.add_argument("--out")
     add_orientation(p_jack)

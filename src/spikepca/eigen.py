@@ -47,8 +47,6 @@ class SampleEigen:
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Make the largest-|entry| of each column positive (first on ties)."""
-    if U.size == 0:
-        return U
     idx = np.argmax(np.abs(U), axis=0)
     flip = U[idx, np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0

@@ -58,10 +58,6 @@ class NotIdentifiable(SpikePcaError):
     """Component sits at or below the detection threshold; no adjustment exists."""
 
 
-class NumericalError(SpikePcaError):
-    """An iterative numerical routine failed to reach its tolerance."""
-
-
 class DegenerateRegressor(SpikePcaError):
     """Regression covariate is constant."""
 

@@ -328,7 +328,6 @@ def read_model(path):
         raise FormatError(f"{path} is not a {MODEL_MAGIC} file")
 
     sections: dict[str, list[str]] = {}
-    order: list[str] = []
     current = None
     for ln in lines[1:]:
         ln = ln.strip()
@@ -339,7 +338,6 @@ def read_model(path):
             if current in sections:
                 raise FormatError(f"duplicate section [{current}]")
             sections[current] = []
-            order.append(current)
         elif current is None:
             raise FormatError(f"content before first section: {ln!r}")
         else:
@@ -377,64 +375,36 @@ def read_model(path):
     if not (0 <= gamma < np.inf and np.isfinite(tau)):
         raise FormatError(f"bad gamma={gamma} or tau={tau} in [meta]")
 
-    def vector(name, length):
+    m = min(p, n)
+    for key, value, low in (("k", k, 1), ("k_spikes", k_spikes, 0)):
+        if not low <= value <= m:
+            raise FormatError(f"{key}={value} in [meta] is outside [{low}, {m}]")
+
+    def table(name, rows, width):
         if name not in sections:
             raise FormatError(f"missing [{name}] section")
-        vals = sections[name]
-        if len(vals) != length:
+        lines = sections[name]
+        if len(lines) != rows:
             raise FormatError(
-                f"[{name}] has {len(vals)} lines, expected {length} (truncated file?)"
+                f"[{name}] has {len(lines)} lines, expected {rows} (truncated file?)"
             )
-        values = np.array([_parse_model_float(v, f"[{name}]") for v in vals])
-        _require_finite(values, f"[{name}]")
+        values = np.empty((rows, width))
+        for i, ln in enumerate(lines):
+            cells = ln.split(",")
+            if len(cells) != width:
+                raise FormatError(f"bad [{name}] line {ln!r}")
+            values[i] = [_parse_model_float(c, f"[{name}]") for c in cells]
+        if name != "adjustment":  # checked below, noise rows hold a nan
+            _require_finite(values, f"[{name}]")
         return values
 
-    means = vector("means", p)
-    scales = vector("scales", p)
-
-    m = min(p, n)
-    eig_rows = sections.get("eigenvalues")
-    if eig_rows is None:
-        raise FormatError("missing [eigenvalues] section")
-    if len(eig_rows) != m:
-        raise FormatError(
-            f"[eigenvalues] has {len(eig_rows)} lines, expected {m} (truncated file?)"
-        )
-    d = np.empty(m)
-    d_hat = np.empty(m)
-    lambda_hat = np.empty(m)
-    for i, ln in enumerate(eig_rows):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"bad [eigenvalues] line {ln!r}")
-        d[i] = _parse_model_float(parts[0], "[eigenvalues]")
-        d_hat[i] = _parse_model_float(parts[1], "[eigenvalues]")
-        lambda_hat[i] = _parse_model_float(parts[2], "[eigenvalues]")
-    _require_finite(np.concatenate([d, d_hat, lambda_hat]), "[eigenvalues]")
-
-    U = np.empty((p, k))
-    for v in range(k):
-        U[:, v] = vector(f"eigenvector {v + 1}", p)
-
-    adj_rows = sections.get("adjustment")
-    if adj_rows is None:
-        raise FormatError("missing [adjustment] section")
-    if len(adj_rows) != k:
-        raise FormatError(
-            f"[adjustment] has {len(adj_rows)} lines, expected {k} (truncated file?)"
-        )
-    shrinkage = np.empty(k)
-    score_corr = np.empty(k)
-    evec_angle = np.empty(k)
-    for v, ln in enumerate(adj_rows):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"bad [adjustment] line {ln!r}")
-        shrinkage[v] = _parse_model_float(parts[0], "[adjustment]")
-        score_corr[v] = _parse_model_float(parts[1], "[adjustment]")
-        evec_angle[v] = _parse_model_float(parts[2], "[adjustment]")
+    means = table("means", p, 1)[:, 0]
+    scales = table("scales", p, 1)[:, 0]
+    d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
+    U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
+    estimates = table("adjustment", k, 3)
+    shrinkage, score_corr, evec_angle = estimates.T
     # write_model stores a nan shrinkage for each noise component.
-    estimates = np.column_stack([shrinkage, score_corr, evec_angle])
     _require_finite(estimates[:k_spikes], "[adjustment]")
     noise = estimates[k_spikes:]
     _require_finite(noise[~np.isnan(noise)], "[adjustment]")

@@ -228,12 +228,13 @@ def jackknife_shrinkage(
     not classify the component as a spike are excluded and counted.
 
     Modes none and center do not refit: leaving a sample out is a
-    rank-one change of the scatter matrix, so every replicate follows
-    from one Gram (or, for p < n, covariance) product of the
-    standardized matrix plus one eigendecomposition of size
-    min(p, n - 1). The exception is a sample holding nearly all of the
-    scatter, whose replicate is refit. center_scale refits throughout,
-    because its scales change with each left-out sample.
+    rank-one change of the scatter matrix. The jackknife costs one
+    eigendecomposition of size min(p, n) of the standardized scatter
+    (through the Gram matrix when p > n - 1) plus, per replicate, one of
+    a diagonal-plus-rank-one matrix of size min(p, n). The exception is
+    a sample holding nearly all of the scatter, whose replicate is
+    refit. center_scale refits throughout, because its scales change
+    with each left-out sample.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
@@ -293,59 +294,47 @@ DOWNDATE_MIN_SHARE = 1e-3
 
 
 def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int):
-    """Held-out naive scores from one scatter product; None marks an exclusion.
+    """Held-out naive scores from one scatter decomposition; None marks an exclusion.
 
-    With A the standardized p x n matrix (columns a_i) and c = 1/(n-1)
-    for center, 0 for none, leaving out sample j standardizes the rest
-    to the columns a_i + c a_j and the held-out sample to
-    z_j = (1 + c) a_j. For p >= n the replicate is decomposed through
-    its Gram matrix G[-j,-j] + c (g 1' + 1 g') + c^2 G_jj, with
-    G = A'A and g = G[-j, j], and the held-out score is
-    h' (1 + c)(g + c G_jj 1) / sqrt((n - 1) d), where the 1 term drops
-    out: under center the replicate's columns sum to zero, so h is
-    orthogonal to 1 (under none, c = 0). For p < n it is
-    decomposed through (n - 1) S_-j = A A' - (1 + c) a_j a_j', which
-    holds because centered columns sum to zero, and the score is
-    u' z_j. Eigenvalues, rank clamp, rescaling and the exclusion rule
-    are those of fit(). A sample that carries nearly all of the scatter
-    would leave a downdate of nearly equal terms; its replicate is
-    refit from X instead.
+    With A the standardized p x n matrix (columns a_j) and rho = n/(n-1)
+    for center, 1 for none, leaving out sample j gives the replicate
+    scatter (n - 1) S_-j = A A' - rho a_j a_j' (centered columns sum to
+    zero) and the held-out sample z_j = rho a_j. In the eigenbasis W of
+    A A' = W diag(lam) W', taken through the Gram matrix A'A = H diag(lam)
+    H' when p > n - 1 (then W'A = sqrt(lam) H'), the replicate is
+    diag(lam) - rho w w' with w = W'a_j, and the score along its
+    eigenvector h is rho h'w. Eigenvalues, rank clamp, rescaling and the
+    exclusion rule are those of fit(). A sample that carries nearly all
+    of the scatter would leave a downdate of nearly equal terms; its
+    replicate is refit from X instead.
     """
     p, n = A.shape
     m = n - 1
     if component > min(p, m):
         raise DimensionError(f"k must be in [1, {min(p, m)}], got {component}")
-    c = 1.0 / m if mode == "center" else 0.0
+    rho = n / m if mode == "center" else 1.0
     v = component - 1
     norms = np.einsum("ij,ij->j", A, A)
     total = norms.sum()
-    refit = total - (1.0 + c) * norms < DOWNDATE_MIN_SHARE * total
-    gram = p > m
-    M = A.T @ A if gram else A @ A.T
-    keep = np.ones(n, dtype=bool)
+    refit = total - rho * norms < DOWNDATE_MIN_SHARE * total
+    if p > m:
+        lam, H, _ = descending_eigh(A.T @ A, n)
+        WA = np.sqrt(lam)[:, None] * H.T
+    else:
+        lam, V, _ = descending_eigh(A @ A.T, p)
+        WA = V.T @ A
+    scatter = np.diag(lam)
     for j in range(n):
         if refit[j]:
             yield _refit_one(X, mode, component, j)
             continue
-        if gram:
-            keep[j] = False
-            g = M[keep, j]
-            sub = M[np.ix_(keep, keep)]
-            sub += c * (g[:, None] + g[None, :]) + c * c * M[j, j]
-            keep[j] = True
-            d, H, k_eff = descending_eigh(sub / m, component)
-        else:
-            a_j = A[:, j]
-            d, H, k_eff = descending_eigh(
-                (M - (1.0 + c) * np.outer(a_j, a_j)) / m, component
-            )
-        spectrum = rescale_eigenvalues(d, p, m)
+        w = WA[:, j]
+        d, Q, k_eff = descending_eigh((scatter - rho * np.outer(w, w)) / m, component)
+        spectrum = rescale_eigenvalues(d[: min(p, m)], p, m)
         if spectrum.k < component or k_eff < component:
             yield None
-        elif gram:
-            yield (1.0 + c) * float(H[:, v] @ g) / math.sqrt(m * d[v])
         else:
-            yield (1.0 + c) * float(H[:, v] @ a_j)
+            yield rho * float(Q[:, v] @ w)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DomainError, NotIdentifiable
+from .errors import DegenerateMatrix, DimensionError, DomainError, NotIdentifiable
 
 
 def _check_gamma(gamma: float) -> None:
@@ -182,6 +182,8 @@ def rescale_eigenvalues(
     that of the supplied matrix. If max_iter is exhausted the last
     iterate is returned with converged=False.
     """
+    if p < 1 or n < 1:
+        raise DimensionError(f"p and n must be >= 1, got p={p}, n={n}")
     d = np.asarray(d_star, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise DomainError("d_star must be a non-empty 1-D array")

@@ -8,8 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spikepca.errors import DomainError, NumericalError
+from spikepca.errors import DomainError, SpikePcaError
 from spikepca.spiked import _check_gamma, _debias_many
+
+
+class NumericalError(SpikePcaError):
+    """An iterative numerical routine failed to reach its tolerance."""
 
 
 def mp_edges(gamma: float) -> tuple[float, float]:

@@ -253,6 +253,22 @@ class TestRescale:
         assert "iterations=1 converged=false" in out.splitlines()[0]
         assert err == "warning: rescaling did not converge\n"
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (("--p", "10", "--n", "0"), "argument --n: must be >= 1, got 0"),
+            (("--p", "0", "--n", "5"), "argument --p: must be >= 1, got 0"),
+            (("--p", "-4", "--n", "5"), "argument --p: must be >= 1, got -4"),
+            (("--p", "ten", "--n", "5"), "argument --p: expected an integer"),
+        ],
+    )
+    def test_count_below_one_is_usage_error(self, capsys, tmp_path, counts, message):
+        path = tmp_path / "eigs.csv"
+        path.write_text("4\n3\n2\n1\n")
+        code, out, err = run_cli(capsys, "rescale", str(path), *counts)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_gamma_override(self, capsys, tmp_path):
         path = tmp_path / "eigs.csv"
         path.write_text("40\n3\n2\n1\n")
@@ -276,6 +292,17 @@ class TestJackknife:
         assert lines[0] == "pc,jackknife,plugin_shrinkage,used,excluded"
         fields = lines[1].split(",")
         assert abs(float(fields[1]) - float(fields[2])) <= 0.08
+
+    @pytest.mark.parametrize("pc, message", [
+        ("0", "argument --pc: must be >= 1, got 0"),
+        ("9", "k must be in [1, 5], got 9"),
+    ])
+    def test_component_out_of_range_is_usage_error(self, capsys, tmp_path, pc, message):
+        path = tmp_path / "jk.csv"
+        write_matrix(gen_two_spike(20, 0.25, seed=3), path)
+        code, out, err = run_cli(capsys, "jackknife", str(path), "--pc", pc)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 class TestSimulate:

@@ -349,6 +349,62 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match=r"spike shrinkage .* \[adjustment\]"):
             read_model(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[scales]", "[means]", r"duplicate section \[means\]"),
+            ("[meta]", "stray\n[meta]", r"content before first section: 'stray'"),
+            ("[meta]", "[info]", r"missing \[meta\] section"),
+            ("mode=", "oops\nmode=", r"bad meta line 'oops'"),
+            ("tau=", "tau_=", r"missing meta key 'tau'"),
+            ("iterations=", "iterations=x", r"bad meta value"),
+            ("mode=center", "mode=whiten", r"unknown mode 'whiten'"),
+            ("[scales]", "[spread]", r"missing \[scales\] section"),
+            ("[eigenvalues]", "[spectrum]", r"missing \[eigenvalues\] section"),
+            ("[eigenvector 2]", "[vector 2]", r"missing \[eigenvector 2\] section"),
+            ("[adjustment]", "[notes]", r"missing \[adjustment\] section"),
+            ("[scales]\n", "[scales]\nx", r"bad number 'x.*' in \[scales\]"),
+            ("[scales]\n", "[scales]\n1,", r"\[scales\]"),
+            ("[eigenvector 1]\n", "[eigenvector 1]\n0,", r"\[eigenvector 1\]"),
+            ("[eigenvalues]\n", "[eigenvalues]\n0,", r"bad \[eigenvalues\] line"),
+            ("[adjustment]\n", "[adjustment]\n0,", r"bad \[adjustment\] line"),
+        ],
+    )
+    def test_malformed_file_rejected(self, fitted, tmp_path, old, new, message):
+        # one edit of a written model per rejection of a malformed layout
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError, match=message):
+            read_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "-1"), ("k", "0"), ("k", "6"),
+        ("k_spikes", "-1"), ("k_spikes", "6"),
+    ])
+    def test_meta_count_out_of_range_rejected(self, fitted, tmp_path, key, value):
+        # fitted has p = 5, n = 10, so k lies in [1, 5] and k_spikes in [0, 5]
+        assert min(fitted.p, fitted.n) == 5
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        text = path.read_text()
+        old = f"\n{key}={getattr(fitted, key)}\n"
+        assert old in text
+        path.write_text(text.replace(old, f"\n{key}={value}\n"))
+        with pytest.raises(FormatError, match=rf"{key}={value} in \[meta\]"):
+            read_model(path)
+
+    def test_more_spikes_than_kept_components_loads(self, tmp_path):
+        model = fit(gen_two_spike(100, 0.5, seed=7), mode="center", k=1)
+        assert (model.k, model.k_spikes) == (1, 2)
+        path = tmp_path / "model.spca"
+        write_model(model, path)
+        loaded = read_model(path)
+        assert (loaded.k, loaded.k_spikes) == (1, 2)
+        np.testing.assert_array_equal(loaded.eig.U, model.eig.U)
+
     def test_unknown_format_version(self, fitted, tmp_path):
         path = tmp_path / "model.spca"
         write_model(fitted, path)

@@ -312,6 +312,8 @@ class TestJackknifeDowndate:
         # downdate would subtract nearly equal terms
         "gram_outlier": spiked_matrix(1, 300, 40, 6.0, outlier=1e4),
         "covariance_outlier": spiked_matrix(2, 40, 120, 4.0, outlier=1e4),
+        # under center the outlier's refit replicate is excluded
+        "covariance_outlier_excluded": spiked_matrix(1, 20, 60, 1.6, outlier=1e4),
     }
 
     @pytest.mark.parametrize("mode", ["none", "center"])

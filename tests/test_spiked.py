@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spikepca import (
     DegenerateMatrix,
+    DimensionError,
     DomainError,
     NotIdentifiable,
     adjustment_factor,
@@ -309,6 +310,14 @@ class TestRescale:
             rescale_eigenvalues(np.array([1.0, 2.0]), 2, 4)  # increasing
         with pytest.raises(DomainError):
             rescale_eigenvalues(np.array([2.0, -1.0]), 2, 4)  # negative
+
+    @pytest.mark.parametrize("p, n", [(10, 0), (0, 5), (-4, 5)])
+    def test_rejects_counts_below_one(self, p, n):
+        # unchecked, a zero n divides by zero and a zero p yields a spectrum
+        with pytest.raises(DimensionError, match="p and n must be >= 1"):
+            rescale_eigenvalues(np.array([4.0, 3.0, 2.0, 1.0]), p, n)
+        with pytest.raises(DimensionError):
+            rescale_eigenvalues(np.array([4.0, 3.0]), p, n, gamma=1.0)
 
     def test_gamma_override(self):
         d = np.array([40.0, 3.0, 2.0, 1.0])
