@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SampleEigen, descending_eigh, pc_scores, sample_eigen
+from .eigen import (
+    RANK_TOL,
+    SampleEigen,
+    descending_eigh,
+    downdate_leading,
+    pc_scores,
+    project,
+    sample_eigen,
+)
 from .errors import (
     DegenerateRegressor,
     DimensionError,
@@ -192,7 +200,7 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
         )
     if not np.isfinite(arr).all():
         raise DomainError("new samples contain non-finite values")
-    naive = model.eig.U.T @ model.prep.apply(arr)
+    naive = project(model.eig.U, model.prep.apply(arr))
     adjusted = naive.copy()
     mask = model.identifiable
     adjusted[mask] = naive[mask] * model.adjustment[mask, None]
@@ -230,11 +238,13 @@ def jackknife_shrinkage(
     Modes none and center do not refit: leaving a sample out is a
     rank-one change of the scatter matrix. The jackknife costs one
     eigendecomposition of size min(p, n) of the standardized scatter
-    (through the Gram matrix when p > n - 1) plus, per replicate, one of
-    a diagonal-plus-rank-one matrix of size min(p, n). The exception is
-    a sample holding nearly all of the scatter, whose replicate is
-    refit. center_scale refits throughout, because its scales change
-    with each left-out sample.
+    (through the Gram matrix when p > n - 1) plus, per replicate, a
+    secular-equation solve for the leading K eigenvalues of a
+    diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with
+    K a few above the component. The exception is a sample holding
+    nearly all of the scatter, whose replicate is refit. center_scale
+    refits throughout, because its scales change with each left-out
+    sample.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
@@ -302,16 +312,22 @@ def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int
     zero) and the held-out sample z_j = rho a_j. In the eigenbasis W of
     A A' = W diag(lam) W', taken through the Gram matrix A'A = H diag(lam)
     H' when p > n - 1 (then W'A = sqrt(lam) H'), the replicate is
-    diag(lam) - rho w w' with w = W'a_j, and the score along its
-    eigenvector h is rho h'w. Eigenvalues, rank clamp, rescaling and the
-    exclusion rule are those of fit(). A sample that carries nearly all
-    of the scatter would leave a downdate of nearly equal terms; its
-    replicate is refit from X instead.
+    diag(lam) - rho w w' with w = W'a_j and trace sum(lam) - rho |w|^2.
+    downdate_leading solves its leading K eigenvalues by the secular
+    equation, with the score rho q'w along the component's eigenvector
+    q. The rescaling runs on those K plus the trace; K starts a few
+    above the component and doubles, up to min(p, n - 1), while
+    tau * lam_(K+1) / trace, a bound on the first unsolved eigenvalue,
+    is above the noise edge. The rank clamp and the exclusion rule are
+    those of fit(). A sample that carries nearly all of the scatter
+    would leave a downdate of nearly equal terms; its replicate is
+    refit from X instead.
     """
     p, n = A.shape
     m = n - 1
-    if component > min(p, m):
-        raise DimensionError(f"k must be in [1, {min(p, m)}], got {component}")
+    k_max = min(p, m)
+    if component > k_max:
+        raise DimensionError(f"k must be in [1, {k_max}], got {component}")
     rho = n / m if mode == "center" else 1.0
     v = component - 1
     norms = np.einsum("ij,ij->j", A, A)
@@ -323,18 +339,29 @@ def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int
     else:
         lam, V, _ = descending_eigh(A @ A.T, p)
         WA = V.T @ A
-    scatter = np.diag(lam)
+    W = WA.T
+    traces = lam.sum() - rho * np.einsum("ij,ij->i", W, W)
+    edge = (1 + math.sqrt(p / m)) ** 2
+    held_out = np.full(n, np.nan)
+    pending = np.flatnonzero(~refit)
+    k = min(component + 3, k_max)
+    while pending.size:
+        mu, score = downdate_leading(lam, W[pending], rho, k, v)
+        grow = []
+        for j, d, q in zip(pending, mu, score):
+            d = np.where(d < RANK_TOL * d[0], 0.0, d)
+            spectrum = rescale_eigenvalues(d / m, p, m, total=traces[j] / m)
+            if k < k_max and spectrum.tau * lam[k] > edge * traces[j]:
+                grow.append(j)
+            elif spectrum.k >= component and d[v] > 0:
+                held_out[j] = q
+        pending = np.array(grow, dtype=int)
+        k = min(2 * k, k_max)
     for j in range(n):
         if refit[j]:
             yield _refit_one(X, mode, component, j)
-            continue
-        w = WA[:, j]
-        d, Q, k_eff = descending_eigh((scatter - rho * np.outer(w, w)) / m, component)
-        spectrum = rescale_eigenvalues(d[: min(p, m)], p, m)
-        if spectrum.k < component or k_eff < component:
-            yield None
         else:
-            yield rho * float(Q[:, v] @ w)
+            yield None if np.isnan(held_out[j]) else float(held_out[j])
 
 
 # ---------------------------------------------------------------------------

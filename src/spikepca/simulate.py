@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import descending_eigh, pc_scores
+from .eigen import descending_eigh, pc_scores, project
 from .errors import (
     DegenerateInput,
     DimensionError,
@@ -426,7 +426,9 @@ def _reduced_two_spike_replicate(rng, gamma, n) -> dict:
     d, H, _ = descending_eigh(train.T @ train / n, n)
     estimates = component_estimates(rescale_eigenvalues(d, p, n), 2)
     U = train @ (H[:, :2] / np.sqrt(n * d[:2]))
-    return _two_spike_estimators(U, train, U.T @ train, U.T @ test, estimates)
+    return _two_spike_estimators(
+        U, train, project(U, train), project(U, test), estimates
+    )
 
 
 def _table12_replicate(rng, gamma, n) -> dict:

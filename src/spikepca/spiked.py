@@ -167,6 +167,7 @@ def rescale_eigenvalues(
     tol: float = 1e-10,
     max_iter: int = 500,
     gamma: float | None = None,
+    total: float | None = None,
 ) -> RescaledSpectrum:
     """Normalize sample eigenvalues so the debiasing map applies.
 
@@ -178,9 +179,14 @@ def rescale_eigenvalues(
     most tol * p or a step reverses the previous one, which only
     rounding at the fixed point can do.
 
-    ``gamma`` overrides p / n for spectra whose aspect ratio is not
-    that of the supplied matrix. If max_iter is exhausted the last
-    iterate is returned with converged=False.
+    ``total`` is the sum of all min(p, n) eigenvalues when ``d_star``
+    holds only the leading ones; the result then describes those. It
+    equals the full rescaling as long as every omitted eigenvalue e
+    stays at or below the noise edge, tau * e / total <= (1 +
+    sqrt(gamma))^2: T only grows, so such an e is below the edge at
+    every iterate. ``gamma`` overrides p / n for spectra whose aspect
+    ratio is not that of the supplied matrix. If max_iter is exhausted
+    the last iterate is returned with converged=False.
     """
     if p < 1 or n < 1:
         raise DimensionError(f"p and n must be >= 1, got p={p}, n={n}")
@@ -197,7 +203,10 @@ def rescale_eigenvalues(
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    total = d.sum()
+    if total is None:
+        total = d.sum()
+    elif not (math.isfinite(total) and total >= 0):
+        raise DomainError(f"total must be finite and >= 0, got {total}")
     if total == 0:
         raise DegenerateMatrix("all sample eigenvalues are zero")
     if gamma is None:

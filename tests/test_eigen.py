@@ -14,6 +14,8 @@ from spikepca import (
     predict,
     sample_eigen,
 )
+import spikepca.eigen
+from spikepca.eigen import downdate_leading
 
 
 def two_by_two_eigen(S):
@@ -170,3 +172,80 @@ class TestProjectNew:
     def test_length_mismatch(self, model):
         with pytest.raises(DimensionError):
             predict(model, np.zeros(9))
+
+
+def eigh_downdate(lam, w, rho, k, v):
+    """Dense reference: the k largest eigenvalues of diag(lam) - rho w w'
+    and |rho q'w| for the eigenvector q of the (v+1)-th."""
+    d, Q = np.linalg.eigh(np.diag(lam) - rho * np.outer(w, w))
+    order = np.argsort(d, kind="stable")[::-1]
+    return d[order][:k], abs(rho * Q[:, order[v]] @ w)
+
+
+def downdate_case(name):
+    """(lam, W, rho) for one synthetic family of replicates."""
+    rng = np.random.default_rng(sorted(DOWNDATE_CASES).index(name))
+    lam = np.sort(rng.uniform(0.5, 10.0, 30))[::-1]
+    lam[0] = 60.0
+    W = rng.standard_normal((12, lam.size)) * np.sqrt(lam)
+    rho = 1.25
+    if name == "zero_weights":
+        W[:, [1, 4, 9]] = 0.0
+        W[0] = 0.0  # a sample with no weight at all leaves lam in place
+    elif name == "tied":
+        lam[2:6] = lam[2]
+        lam[-4:] = lam[-4]
+    elif name == "trailing_zero":
+        # the centered Gram path: one null direction, where w is 0 too
+        lam[-1] = 0.0
+        W[:, -1] = 0.0
+    elif name == "dominant":
+        W *= 1e-3
+        W[:, 1] = 4.0
+        rho = 1.0
+    elif name == "n4":
+        lam = np.array([9.0, 4.0, 1.5, 0.25])
+        W = rng.standard_normal((12, 4)) * np.sqrt(lam)
+        rho = 4 / 3
+    return lam, W, rho
+
+
+DOWNDATE_CASES = ("zero_weights", "tied", "trailing_zero", "dominant", "n4")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDowndateLeading:
+    """The secular solve of diag(lam) - rho w w' against dense eigh."""
+
+    @pytest.mark.parametrize("case", DOWNDATE_CASES)
+    def test_matches_eigh(self, case):
+        lam, W, rho = downdate_case(case)
+        k = min(6, lam.size)
+        for v in range(k):
+            mu, score = downdate_leading(lam, W, rho, k, v)
+            for w, got_mu, got_score in zip(W, mu, score):
+                want_mu, want_score = eigh_downdate(lam, w, rho, k, v)
+                assert np.max(np.abs(got_mu - want_mu)) <= 1e-13 * lam[0]
+                # eigh's score is accurate to ~1e-16 rho |w| in absolute
+                # terms, so relative agreement is checked down to 1e-3 rho |w|
+                scale = max(want_score, 1e-3 * rho * np.linalg.norm(w))
+                assert abs(got_score - want_score) <= 1e-12 * scale
+
+    def test_scores_sum_to_the_weight_on_clustered_poles(self):
+        # poles 1e-9 apart put eigh's eigenvectors off by ~1e-6, but the
+        # squared scores of all n eigenvectors still sum to rho^2 |w|^2
+        lam = np.r_[10.0, 1.0 + 1e-9 * np.arange(20)[::-1], 0.1]
+        W = np.random.default_rng(7).standard_normal((4, lam.size))
+        scores = np.array(
+            [downdate_leading(lam, W, 1.0, lam.size, v)[1] for v in range(lam.size)]
+        )
+        np.testing.assert_allclose(
+            (scores**2).sum(axis=0), (W**2).sum(axis=1), rtol=1e-13
+        )
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        lam, W, rho = downdate_case("tied")
+        whole = downdate_leading(lam, W, rho, 5, 1)
+        monkeypatch.setattr(spikepca.eigen, "SECULAR_BLOCK", 1)
+        for got, want in zip(downdate_leading(lam, W, rho, 5, 1), whole):
+            np.testing.assert_array_equal(got, want)

@@ -238,6 +238,7 @@ class TestScaleEquivariance:
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestJackknife:
     def test_agrees_with_plugin_on_two_spike(self):
         X = gen_two_spike(100, 1.0, seed=3)
@@ -288,14 +289,16 @@ def refit_jackknife(X, mode, component):
     return value, used, X.n - used
 
 
-def spiked_matrix(seed, p, n, spike, outlier=1.0):
+def spiked_matrix(seed, p, n, spike, outlier=1.0, spikes=1):
+    """Row v < spikes scaled by spike / (v + 1), column 5 by outlier."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((p, n)) + rng.uniform(-1.0, 1.0, size=(p, 1))
-    X[0] *= spike
+    X[:spikes] *= spike / np.arange(1, spikes + 1)[:, None]
     X[:, 5] *= outlier
     return DataMatrix(X)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestJackknifeDowndate:
     """The downdate path of modes none and center against n + 1 refits."""
 
@@ -314,6 +317,12 @@ class TestJackknifeDowndate:
         "covariance_outlier": spiked_matrix(2, 40, 120, 4.0, outlier=1e4),
         # under center the outlier's refit replicate is excluded
         "covariance_outlier_excluded": spiked_matrix(1, 20, 60, 1.6, outlier=1e4),
+        # p = n - 1 is the last shape that downdates A A' rather than A'A
+        "p_is_n_minus_2": spiked_matrix(3, 28, 30, 5.0),
+        "p_is_n_minus_1": spiked_matrix(3, 29, 30, 5.0),
+        "p_is_n": spiked_matrix(3, 30, 30, 5.0),
+        # more spikes than the secular solve's first K leading eigenvalues
+        "many_spikes": spiked_matrix(4, 80, 40, 40.0, spikes=9),
     }
 
     @pytest.mark.parametrize("mode", ["none", "center"])
@@ -325,6 +334,41 @@ class TestJackknifeDowndate:
         assert (estimate.used, estimate.excluded) == (used, excluded)
         assert abs(estimate.value - value) <= 1e-10 * value
         assert estimate.plugin == fit(X, mode, k=1).shrinkage[0]
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = spikepca.model.descending_eigh
+
+        def counting(M, k):
+            calls.append(M.shape)
+            return original(M, k)
+
+        monkeypatch.setattr(spikepca.model, "descending_eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", ["gram", "covariance", "p_is_n_minus_1"])
+    def test_one_eigendecomposition_per_jackknife(self, case, eigh_calls):
+        X = self.CASES[case]
+        estimate = jackknife_shrinkage(X, "center", 1)
+        assert estimate.used + estimate.excluded == X.n
+        assert len(eigh_calls) == 1
+
+    def test_leading_count_grows_past_the_spikes(self, monkeypatch):
+        ks = []
+        original = spikepca.model.downdate_leading
+
+        def recording(lam, W, rho, k, v):
+            ks.append(k)
+            return original(lam, W, rho, k, v)
+
+        monkeypatch.setattr(spikepca.model, "downdate_leading", recording)
+        X = self.CASES["many_spikes"]
+        estimate = jackknife_shrinkage(X, "center", 1)
+        assert fit(X, "center", k=1).k_spikes > 4
+        assert ks[:2] == [4, 8]
+        value = refit_jackknife(X, "center", 1)[0]
+        assert abs(estimate.value - value) <= 1e-10 * value
 
     def test_cases_exercise_exclusions(self):
         assert refit_jackknife(self.CASES["gram_excluded"], "center", 1)[2] > 0

@@ -319,6 +319,28 @@ class TestRescale:
         with pytest.raises(DimensionError):
             rescale_eigenvalues(np.array([4.0, 3.0]), p, n, gamma=1.0)
 
+    def test_leading_eigenvalues_with_total(self):
+        # the three spikes and a tail whose rescaled values stay below the
+        # edge: the leading four plus the trace give the full result
+        d = np.r_[60.0, 30.0, 12.0, np.linspace(2.0, 0.1, 37)]
+        full = rescale_eigenvalues(d, 40, 80)
+        lead = rescale_eigenvalues(d[:4], 40, 80, total=d.sum())
+        assert full.k == lead.k == 3
+        assert full.tau * d[4] / d.sum() <= (1 + math.sqrt(0.5)) ** 2
+        assert lead.tau == full.tau
+        assert lead.iterations == full.iterations
+        np.testing.assert_array_equal(lead.d_hat, full.d_hat[:4])
+        np.testing.assert_array_equal(lead.lambda_hat, full.lambda_hat[:4])
+
+    @pytest.mark.parametrize("total", [-1.0, math.inf, math.nan])
+    def test_rejects_invalid_total(self, total):
+        with pytest.raises(DomainError, match="total"):
+            rescale_eigenvalues(np.array([4.0, 3.0]), 10, 5, total=total)
+
+    def test_zero_total_is_degenerate(self):
+        with pytest.raises(DegenerateMatrix):
+            rescale_eigenvalues(np.array([0.0]), 10, 5, total=0.0)
+
     def test_gamma_override(self):
         d = np.array([40.0, 3.0, 2.0, 1.0])
         via_n = rescale_eigenvalues(d, 4, 8)
