@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--gamma", type=float, default=None,
                        help="override the aspect ratio p/n")
     p_res.add_argument("--tol", type=float, default=1e-10)
-    p_res.add_argument("--max-iter", type=int, default=500)
+    p_res.add_argument("--max-iter", type=_positive_int, default=500)
     p_res.add_argument("--out")
     p_res.set_defaults(func=_cmd_rescale)
 

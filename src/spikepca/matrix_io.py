@@ -111,8 +111,11 @@ class Preprocessing:
 def _parse_csv(path) -> np.ndarray:
     """Parse a rectangular numeric CSV (optional single header row).
 
-    Raises ParseError with 1-based file coordinates on the first bad
-    cell, and EmptyInput if the file holds no data rows.
+    Cells are whatever float() accepts after str.strip(). A clean file
+    takes one bulk _parse_clean call; any other goes to the cell-by-cell
+    _scan_csv, which accepts the remaining spellings or raises ParseError
+    with 1-based file coordinates on the first bad cell. Raises
+    EmptyInput if the file holds no data rows.
     """
     try:
         text = Path(path).read_text()
@@ -141,21 +144,18 @@ def _is_header(line: str) -> bool:
 
 
 def _parse_clean(lines: list) -> np.ndarray | None:
-    """Fast path for rectangular, all-finite data rows.
+    """Bulk parse of rectangular, all-finite data rows.
 
-    Converts with float(), as the scanner does, so the same cells parse
-    to the same doubles. Returns None on anything else (a ragged row, a
-    bad or non-finite cell), leaving the scanner to find and report the
-    first bad cell.
+    np.loadtxt strips the same Unicode whitespace as str.strip() and
+    converts through the same correctly rounded PyOS_string_to_double as
+    float(), so every cell it accepts parses to the scanner's double. It
+    accepts fewer spellings than float() (no underscores, no non-ASCII
+    digits), and comments=None keeps a '#' tail a bad cell. Returns None
+    on anything else (a ragged row, a bad or non-finite cell), leaving
+    the scanner to parse the file or report the first bad cell.
     """
-    width = lines[0].count(",") + 1
-    arr = np.empty((len(lines), width))
     try:
-        for i, line in enumerate(lines):
-            cells = line.split(",")
-            if len(cells) != width:
-                return None
-            arr[i] = list(map(float, cells))
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     return arr if np.isfinite(arr).all() else None
@@ -365,13 +365,15 @@ def read_model(path):
         gamma = _parse_model_float(meta["gamma"], "[meta] gamma")
         tau = _parse_model_float(meta["tau"], "[meta] tau")
         mode = meta["mode"]
-        converged = meta["converged"] == "true"
+        converged = meta["converged"]
     except KeyError as exc:
         raise FormatError(f"missing meta key {exc}") from None
     except ValueError as exc:
         raise FormatError(f"bad meta value: {exc}") from None
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r} in model file")
+    if converged not in ("true", "false"):
+        raise FormatError(f"bad converged={converged!r} in [meta], expected true/false")
     if not (0 <= gamma < np.inf and np.isfinite(tau)):
         raise FormatError(f"bad gamma={gamma} or tau={tau} in [meta]")
 
@@ -427,7 +429,7 @@ def read_model(path):
         tau=tau,
         gamma=gamma,
         iterations=iterations,
-        converged=converged,
+        converged=converged == "true",
     )
     return FittedPcModel(
         prep=prep,

@@ -29,12 +29,12 @@ from .errors import DegenerateMatrix, DimensionError, DomainError, NotIdentifiab
 
 
 def _check_gamma(gamma: float) -> None:
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
 
 
 def _check_spike(spike: float) -> None:
-    if spike <= 1:
+    if not spike > 1:
         raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
 
 
@@ -59,7 +59,7 @@ def debias_eigenvalue(d: float, gamma: float) -> float:
     """
     _check_gamma(gamma)
     b = (1 + math.sqrt(gamma)) ** 2
-    if d < b:
+    if not d >= b:
         raise DomainError(
             f"d={d} is below the noise edge {b}; no spike estimate exists"
         )
@@ -106,7 +106,7 @@ def shrinkage_factor(spike: float, gamma: float) -> float:
     Only defined above the detection threshold; increasing in the spike
     size, decreasing in gamma.
     """
-    if spike <= detection_threshold(gamma):
+    if not spike > detection_threshold(gamma):
         raise DomainError(
             f"shrinkage factor needs a spike above {detection_threshold(gamma)}, "
             f"got {spike}"
@@ -199,7 +199,7 @@ def rescale_eigenvalues(
         raise DomainError("d_star contains negative eigenvalues")
     if (np.diff(d) > 0).any():
         raise DomainError("d_star must be sorted in non-increasing order")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")

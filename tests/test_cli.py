@@ -260,6 +260,8 @@ class TestRescale:
             (("--p", "0", "--n", "5"), "argument --p: must be >= 1, got 0"),
             (("--p", "-4", "--n", "5"), "argument --p: must be >= 1, got -4"),
             (("--p", "ten", "--n", "5"), "argument --p: expected an integer"),
+            (("--p", "4", "--n", "5", "--max-iter", "0"),
+             "argument --max-iter: must be >= 1, got 0"),
         ],
     )
     def test_count_below_one_is_usage_error(self, capsys, tmp_path, counts, message):
@@ -268,6 +270,23 @@ class TestRescale:
         code, out, err = run_cli(capsys, "rescale", str(path), *counts)
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--gamma", "-1"), "gamma must be >= 0, got -1.0"),
+            (("--gamma", "nan"), "gamma must be >= 0, got nan"),
+            (("--tol", "nan"), "tol must be positive, got nan"),
+        ],
+    )
+    def test_nan_fails_like_a_negative(self, capsys, tmp_path, option, message):
+        path = tmp_path / "eigs.csv"
+        path.write_text("40\n3\n2\n1\n")
+        code, out, err = run_cli(
+            capsys, "rescale", str(path), "--p", "100", "--n", "50", *option
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
 
     def test_gamma_override(self, capsys, tmp_path):
         path = tmp_path / "eigs.csv"

@@ -10,9 +10,11 @@ from spikepca import (
     DegenerateMatrix,
     DimensionError,
     fit,
+    gen_two_spike,
     pc_scores,
     predict,
     sample_eigen,
+    standardize,
 )
 import spikepca.eigen
 from spikepca.eigen import downdate_leading
@@ -116,6 +118,29 @@ class TestSampleEigen:
         eig = sample_eigen(X, 3)
         assert eig.k == 1
         assert eig.d[1] == 0.0 and eig.d[2] == 0.0
+
+
+class TestBoundaryShapes:
+    """p at n - 1, n and n + 1, where fit switches from the covariance to
+    the Gram path and the centered matrix loses a rank, and n < p < 2n."""
+
+    @pytest.mark.parametrize("n", [40, 101])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "half"])
+    def test_matches_svd_and_rescaling_converges(self, n, extra):
+        p = n + (n // 2 if extra == "half" else extra)
+        X = gen_two_spike(n, p / n, seed=p)
+        assert X.p == p
+        Xs, _ = standardize(X, "center")
+        eig = sample_eigen(Xs, min(p, n))
+        assert eig.k == min(p, n - 1)
+        U_ref, s, _ = np.linalg.svd(Xs.values, full_matrices=False)
+        d_ref = s**2 / n
+        assert np.abs(eig.d - d_ref).max() <= 1e-12 * d_ref[0]
+        signs = np.sign(np.sum(eig.U * U_ref[:, : eig.k], axis=0))
+        assert np.abs(eig.U * signs - U_ref[:, : eig.k]).max() <= 1e-10
+        model = fit(X, mode="center")
+        assert model.spectrum.converged
+        np.testing.assert_array_equal(model.eig.d, eig.d)
 
 
 class TestScores:

@@ -122,6 +122,23 @@ class TestParseCsvFastPath:
         "non_numeric": "1,2,3\n4,x5,6\n",
         "ragged": "1,2,3\n4,5\n",
         "long_digits": "0.10000000000000001,1.2345678901234567e-300,3\n4,5,6\n",
+        # spellings float() takes after str.strip() but the bulk parse refuses
+        "arabic_indic": "\u0661\u0662,2\n3,4\n",
+        # Unicode padding; float("1\\x1f") raises, but both paths strip it.
+        # str.splitlines() breaks lines at \\x0b, so it pads line ends only.
+        "nbsp_padding": "\xa01\xa0,2\n3,\xa04\n",
+        "unit_sep_padding": "\x1f1\x1f,2\n3,4\x1f\n",
+        "vt_padding": "\x0b1,2\x0b\n3,4\n",
+        "hash_tail": "1,2 # note\n3,4\n",
+        "overflow": "1,1e400\n3,4\n",
+        "underflow": "1,1e-400\n3,4\n",
+        "subnormal": "4.9406564584124654e-324,2\n3,-4.9406564584124654e-324\n",
+        "trailing_comma": "1,2,\n3,4,\n",
+        "lone_comma": "1,2\n,\n3,4\n",
+        "quoted": '"1",2\n3,4\n',
+        "hex_float": "0x1p3,2\n3,4\n",
+        "single_row": "1,2.5,-3\n",
+        "single_column": "1\n2.5\n-3\n",
     }
 
     @pytest.mark.parametrize("name", sorted(FILES))
@@ -139,6 +156,37 @@ class TestParseCsvFastPath:
             got = _parse_csv(path)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("nbsp_padding", [[1, 2], [3, 4]]),
+            ("unit_sep_padding", [[1, 2], [3, 4]]),
+            ("vt_padding", [[1, 2], [3, 4]]),
+            ("arabic_indic", [[12, 2], [3, 4]]),
+            ("underflow", [[1, 0], [3, 4]]),
+            ("single_row", [[1, 2.5, -3]]),
+            ("single_column", [[1], [2.5], [-3]]),
+            ("subnormal", [[5e-324, 2], [3, -5e-324]]),
+        ],
+    )
+    def test_accepted_spellings(self, tmp_path, name, value):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(self.FILES[name].encode())
+        got = _parse_csv(path)
+        assert got.shape == np.shape(value)
+        np.testing.assert_array_equal(got, value)
+
+    def test_clean_file_never_scans(self, tmp_path, monkeypatch):
+        def refuse(lines, start):
+            raise AssertionError("a clean file reached the cell scanner")
+
+        rng = np.random.default_rng(5)
+        X = DataMatrix(rng.standard_normal((50, 20)))
+        path = tmp_path / "clean.csv"
+        write_matrix(X, path)
+        monkeypatch.setattr("spikepca.matrix_io._scan_csv", refuse)
+        assert _parse_csv(path).tobytes() == X.values.tobytes()
 
     def test_underscore_cell_parses(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -259,6 +307,55 @@ def test_csv_round_trip_exact(tmp_path_factory, p, n, scale, seed):
     np.testing.assert_array_equal(read_matrix(path).values, X.values)
 
 
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x1f", "\u2003"])
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(
+                st.tuples(
+                    PADDING,
+                    st.floats(allow_nan=False, allow_infinity=False) | SPECIAL,
+                    PADDING,
+                ),
+                min_size=width,
+                max_size=width,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_bulk_parse_matches_scanner(tmp_path_factory, cells):
+    # random rectangular files of %.17g doubles, subnormals and signed
+    # zeros included, with Unicode padding: the bulk path takes each one
+    # and gives the scanner's doubles bit for bit
+    text = "".join(
+        ",".join(f"{left}{v:.17g}{right}" for left, v, right in row) + "\n"
+        for row in cells
+    )
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(text.encode())
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # _is_header tests bare float(), which refuses \x1f padding, so a first
+    # row padded with it in every cell counts as a header
+    start = 1 if _is_header(lines[0]) else 0
+    if start == len(lines):
+        with pytest.raises(EmptyInput):
+            _parse_csv(path)
+        return
+    expected = scanned(path)
+    bulk = _parse_clean(lines[start:])
+    assert bulk is not None
+    assert bulk.tobytes() == expected.tobytes()
+    assert _parse_csv(path).tobytes() == expected.tobytes()
+
+
 def edit_model_cell(path, section, row, col, value):
     """Replace one comma-separated cell of a model file section in place."""
     lines = path.read_text().splitlines()
@@ -368,6 +465,7 @@ class TestModelPersistence:
             ("[eigenvector 1]\n", "[eigenvector 1]\n0,", r"\[eigenvector 1\]"),
             ("[eigenvalues]\n", "[eigenvalues]\n0,", r"bad \[eigenvalues\] line"),
             ("[adjustment]\n", "[adjustment]\n0,", r"bad \[adjustment\] line"),
+            ("converged=true", "converged=maybe", r"bad converged='maybe' in \[meta\]"),
         ],
     )
     def test_malformed_file_rejected(self, fitted, tmp_path, old, new, message):

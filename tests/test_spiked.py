@@ -48,6 +48,26 @@ class TestEigenvalueMaps:
         with pytest.raises(DomainError):
             sample_eigenvalue_limit(2.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: detection_threshold(math.nan),
+            lambda: sample_eigenvalue_limit(math.nan, 1.0),
+            lambda: sample_eigenvalue_limit(2.0, math.nan),
+            lambda: debias_eigenvalue(math.nan, 1.0),
+            lambda: debias_eigenvalue(5.0, math.nan),
+            lambda: eigenvector_angle(math.nan, 1.0),
+            lambda: score_angle(5.0, math.nan),
+            lambda: shrinkage_factor(math.nan, 1.0),
+            lambda: adjustment_factor(math.nan, 1.0),
+        ],
+    )
+    def test_nan_is_out_of_domain(self, call):
+        # a nan fails every comparison, so each check is written to pass
+        # only in-domain values rather than to catch out-of-domain ones
+        with pytest.raises(DomainError):
+            call()
+
     def test_debias_round_trip(self):
         d = sample_eigenvalue_limit(8, 1)
         assert debias_eigenvalue(d, 1) == pytest.approx(8.0, abs=1e-12)
@@ -310,6 +330,18 @@ class TestRescale:
             rescale_eigenvalues(np.array([1.0, 2.0]), 2, 4)  # increasing
         with pytest.raises(DomainError):
             rescale_eigenvalues(np.array([2.0, -1.0]), 2, 4)  # negative
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"gamma": math.nan}, "gamma must be >= 0, got nan"),
+            ({"tol": math.nan}, "tol must be positive, got nan"),
+        ],
+    )
+    def test_rejects_nan_gamma_and_tol(self, options, message):
+        # unchecked, gamma=nan finds no spike and tol=nan never converges
+        with pytest.raises(DomainError, match=message):
+            rescale_eigenvalues(np.array([40.0, 3.0, 2.0, 1.0]), 4, 8, **options)
 
     @pytest.mark.parametrize("p, n", [(10, 0), (0, 5), (-4, 5)])
     def test_rejects_counts_below_one(self, p, n):
