@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simulate
-from .errors import INPUT_ERRORS, DimensionError, ParseError, SpikePcaError
+from .errors import INPUT_ERRORS, DimensionError, DomainError, ParseError, SpikePcaError
 from .matrix_io import (
     DataMatrix,
     _fmt,
@@ -27,16 +27,13 @@ from .spiked import rescale_eigenvalues
 
 _MODE_CHOICES = {"none": "none", "center": "center", "center-scale": "center_scale"}
 
-_ORIENTATION_CHOICES = {
-    "rows-are-variables": "rows_are_variables",
-    "rows-are-samples": "rows_are_samples",
-}
+_ORIENTATION_CHOICES = ("rows-are-samples", "rows-are-variables")
 
 
 def _load_matrix(path, orientation_flag: str, min_samples: int = 1) -> np.ndarray:
     """Parse a CSV into a variables x samples array of at least min_samples."""
     arr = _parse_csv(path)
-    if _ORIENTATION_CHOICES[orientation_flag] == "rows_are_samples":
+    if orientation_flag == "rows-are-samples":
         arr = arr.T
     if arr.shape[1] < min_samples:
         raise DimensionError(
@@ -142,9 +139,14 @@ def _cmd_rescale(args) -> int:
             f"got shape {arr.shape}"
         )
     d = arr.ravel()
-    spectrum = rescale_eigenvalues(
-        d, args.p, args.n, tol=args.tol, max_iter=args.max_iter, gamma=args.gamma
-    )
+    try:
+        spectrum = rescale_eigenvalues(
+            d, args.p, args.n, tol=args.tol, max_iter=args.max_iter, gamma=args.gamma
+        )
+    except DomainError as exc:
+        # every DomainError of rescale_eigenvalues rejects an argument, and
+        # here each argument is the user's file or option: exit 2, not 3
+        raise ValueError(str(exc)) from exc
     ratios = d / d.sum()
     lines = [
         f"# k={spectrum.k} tau={_fmt(spectrum.tau)} gamma={_fmt(spectrum.gamma)} "
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_orientation(p):
         p.add_argument(
             "--orientation",
-            choices=sorted(_ORIENTATION_CHOICES),
+            choices=_ORIENTATION_CHOICES,
             default="rows-are-variables",
             help="what the CSV rows represent (default: variables)",
         )

@@ -55,22 +55,23 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def descending_eigh(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+def descending_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of a symmetric matrix under the package's rank rule.
 
-    Returns (d, V, k_eff): eigenvalues in non-increasing order (stable
+    Returns (d, V, rank): eigenvalues in non-increasing order (stable
     for ties) with those below RANK_TOL * d_1 clamped to zero, the
-    eigenvectors as columns in the same order, and k_eff = min(k,
-    numerical rank). Raises DegenerateMatrix when the rank is zero.
+    eigenvectors as columns in the same order, and the numerical rank,
+    the count of eigenvalues left positive. Raises DegenerateMatrix
+    when the rank is zero.
     """
     w, V = np.linalg.eigh(M)
     order = np.argsort(w, kind="stable")[::-1]
     d = w[order]
     d = np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
-    k_eff = min(k, int(np.count_nonzero(d > 0)))
-    if k_eff == 0:
+    rank = int(np.count_nonzero(d > 0))
+    if rank == 0:
         raise DegenerateMatrix("matrix has no positive eigenvalues")
-    return d, V[:, order], k_eff
+    return d, V[:, order], rank
 
 
 def sample_eigen(X: DataMatrix, k: int | Callable[[np.ndarray], int]) -> SampleEigen:
@@ -92,7 +93,7 @@ def sample_eigen(X: DataMatrix, k: int | Callable[[np.ndarray], int]) -> SampleE
     if not A.any():
         raise DegenerateMatrix("cannot decompose an all-zero matrix")
 
-    d, V, rank = descending_eigh(A @ A.T / n if p <= n else A.T @ A / n, m)
+    d, V, rank = descending_eigh(A @ A.T / n if p <= n else A.T @ A / n)
     if callable(k):
         k = k(d)
         _check_k(k, m)

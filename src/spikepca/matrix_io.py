@@ -121,22 +121,24 @@ def _parse_csv(path) -> np.ndarray:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise EmptyInput(f"{path} contains no data")
-    start = 1 if _is_header(lines[0]) else 0
-    if start == len(lines):
+    start = 1 if _is_header(numbered[0][1]) else 0
+    if start == len(numbered):
         raise EmptyInput(f"{path} contains a header but no data rows")
-    arr = _parse_clean(lines[start:])
-    return arr if arr is not None else _scan_csv(lines, start)
+    rows = numbered[start:]
+    arr = _parse_clean([ln for _, ln in rows])
+    return arr if arr is not None else _scan_csv(rows)
 
 
 def _is_header(line: str) -> bool:
-    """A header row is one where no cell parses as a number; a row with
-    a mix of numeric and non-numeric cells is an error, not a header."""
+    """A header row is one where no cell parses as a number under the
+    scanner's rule; a row with a mix of numeric and non-numeric cells is
+    an error, not a header."""
     for cell in line.split(","):
         try:
-            float(cell)
+            float(cell.strip())
             return False
         except ValueError:
             pass
@@ -161,19 +163,19 @@ def _parse_clean(lines: list) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _scan_csv(lines: list, start: int) -> np.ndarray:
-    """Cell-by-cell parse of the non-blank lines of a CSV file from
-    ``lines[start]`` on; raises ParseError at the first bad cell."""
+def _scan_csv(numbered: list) -> np.ndarray:
+    """Cell-by-cell parse of a CSV file's data rows, given as (1-based
+    line number, line) pairs; raises ParseError at the first bad cell."""
     rows = []
     width = None
-    for idx in range(start, len(lines)):
-        cells = [c.strip() for c in lines[idx].split(",")]
+    for line_no, line in numbered:
+        cells = [c.strip() for c in line.split(",")]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise ParseError(
-                f"ragged row: line {idx + 1} has {len(cells)} cells, expected {width}",
-                row=idx + 1,
+                f"ragged row: line {line_no} has {len(cells)} cells, expected {width}",
+                row=line_no,
             )
         parsed = []
         for j, cell in enumerate(cells):
@@ -181,15 +183,15 @@ def _scan_csv(lines: list, start: int) -> np.ndarray:
                 value = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"non-numeric cell {cell!r} at row {idx + 1}, column {j + 1}",
-                    row=idx + 1,
+                    f"non-numeric cell {cell!r} at row {line_no}, column {j + 1}",
+                    row=line_no,
                     col=j + 1,
                 ) from None
             if not np.isfinite(value):
                 raise ParseError(
-                    f"non-finite cell {cell!r} at row {idx + 1}, column {j + 1} "
+                    f"non-finite cell {cell!r} at row {line_no}, column {j + 1} "
                     "(missing values are not supported)",
-                    row=idx + 1,
+                    row=line_no,
                     col=j + 1,
                 )
             parsed.append(value)

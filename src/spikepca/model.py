@@ -132,13 +132,7 @@ def component_estimates(spectrum: RescaledSpectrum, k: int):
     return shrink, corr, angle, identifiable
 
 
-def fit(
-    X: DataMatrix,
-    mode: str = "center",
-    k="auto",
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> FittedPcModel:
+def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
     """Fit the spiked-model PCA pipeline to a training matrix.
 
     Runs standardize -> eigendecomposition (all min(p, n) eigenvalues)
@@ -163,7 +157,7 @@ def fit(
 
     def k_keep(d):
         nonlocal spectrum
-        spectrum = rescale_eigenvalues(d, X.p, X.n, tol=tol, max_iter=max_iter)
+        spectrum = rescale_eigenvalues(d, X.p, X.n)
         return max(spectrum.k, 1) if auto else k_request
 
     # sample_eigen calls k_keep on the eigenvalues before it builds any
@@ -236,15 +230,16 @@ def jackknife_shrinkage(
     not classify the component as a spike are excluded and counted.
 
     Modes none and center do not refit: leaving a sample out is a
-    rank-one change of the scatter matrix. The jackknife costs one
-    eigendecomposition of size min(p, n) of the standardized scatter
-    (through the Gram matrix when p > n - 1) plus, per replicate, a
-    secular-equation solve for the leading K eigenvalues of a
-    diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with
-    K a few above the component. The exception is a sample holding
-    nearly all of the scatter, whose replicate is refit. center_scale
-    refits throughout, because its scales change with each left-out
-    sample.
+    rank-one change of the scatter matrix. The jackknife costs two
+    eigendecompositions of size min(p, n): the full-data fit's, for the
+    plug-in and the in-sample scores, and one of the standardized
+    scatter for the downdate basis (through the Gram matrix when
+    p > n - 1). Each replicate then costs a secular-equation solve for
+    the leading K eigenvalues of a diagonal-plus-rank-one matrix,
+    O(K min(p, n)) per iteration, with K a few above the component.
+    The exception is a sample holding nearly all of the scatter, whose
+    replicate is refit. center_scale refits throughout, because its
+    scales change with each left-out sample.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
@@ -263,36 +258,28 @@ def jackknife_shrinkage(
     mean_sq_sample = float(np.mean(sample_row**2))
 
     if mode == "center_scale":
-        replicates = (_refit_one(X, mode, component, j) for j in range(X.n))
+        held_out = np.array([_refit_one(X, mode, component, j) for j in range(X.n)])
     else:
-        replicates = _downdate_replicates(X, Xs.values, mode, component)
-    predicted_sq = []
-    excluded = 0
-    for q in replicates:
-        if q is None:
-            excluded += 1
-        else:
-            predicted_sq.append(q * q)
-    if not predicted_sq:
+        held_out = _downdate_replicates(X, Xs.values, mode, component)
+    used = held_out[~np.isnan(held_out)]
+    if not used.size:
         raise NotIdentifiable(
             f"component {component} was a spike in no leave-one-out replicate"
         )
-    value = math.sqrt(
-        (math.fsum(predicted_sq) / len(predicted_sq)) / mean_sq_sample
-    )
+    value = math.sqrt((math.fsum(used * used) / used.size) / mean_sq_sample)
     return JackknifeShrinkage(
         value=value,
-        used=len(predicted_sq),
-        excluded=excluded,
+        used=used.size,
+        excluded=X.n - used.size,
         plugin=float(full.shrinkage[component - 1]),
     )
 
 
-def _refit_one(X: DataMatrix, mode: str, component: int, j: int):
-    """Held-out naive score of sample j from a full refit; None if excluded."""
+def _refit_one(X: DataMatrix, mode: str, component: int, j: int) -> float:
+    """Held-out naive score of sample j from a full refit; NaN if excluded."""
     refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
     if refit.k_spikes < component or refit.k < component:
-        return None
+        return math.nan
     z = refit.prep.apply(X.values[:, j])
     return float(refit.eig.U[:, component - 1] @ z)
 
@@ -303,8 +290,10 @@ def _refit_one(X: DataMatrix, mode: str, component: int, j: int):
 DOWNDATE_MIN_SHARE = 1e-3
 
 
-def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int):
-    """Held-out naive scores from one scatter decomposition; None marks an exclusion.
+def _downdate_replicates(
+    X: DataMatrix, A: np.ndarray, mode: str, component: int
+) -> np.ndarray:
+    """Held-out naive scores from one scatter decomposition; NaN marks an exclusion.
 
     With A the standardized p x n matrix (columns a_j) and rho = n/(n-1)
     for center, 1 for none, leaving out sample j gives the replicate
@@ -334,10 +323,10 @@ def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int
     total = norms.sum()
     refit = total - rho * norms < DOWNDATE_MIN_SHARE * total
     if p > m:
-        lam, H, _ = descending_eigh(A.T @ A, n)
+        lam, H, _ = descending_eigh(A.T @ A)
         WA = np.sqrt(lam)[:, None] * H.T
     else:
-        lam, V, _ = descending_eigh(A @ A.T, p)
+        lam, V, _ = descending_eigh(A @ A.T)
         WA = V.T @ A
     W = WA.T
     traces = lam.sum() - rho * np.einsum("ij,ij->i", W, W)
@@ -357,11 +346,9 @@ def _downdate_replicates(X: DataMatrix, A: np.ndarray, mode: str, component: int
                 held_out[j] = q
         pending = np.array(grow, dtype=int)
         k = min(2 * k, k_max)
-    for j in range(n):
-        if refit[j]:
-            yield _refit_one(X, mode, component, j)
-        else:
-            yield None if np.isnan(held_out[j]) else float(held_out[j])
+    for j in np.flatnonzero(refit):
+        held_out[j] = _refit_one(X, mode, component, j)
+    return held_out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import descending_eigh, pc_scores, project
+from .eigen import pc_scores, project, sample_eigen
 from .errors import (
     DegenerateInput,
     DimensionError,
@@ -420,14 +420,14 @@ def _two_spike_replicate(rng, gamma, n) -> dict:
 
 def _reduced_two_spike_replicate(rng, gamma, n) -> dict:
     """The estimators of _two_spike_replicate, from _two_spike_proxy's draw."""
-    p = _two_spike_p(gamma, n)
     X = _two_spike_proxy(rng, gamma, n)
     train, test = X[:, :n], X[:, n:]
-    d, H, _ = descending_eigh(train.T @ train / n, n)
-    estimates = component_estimates(rescale_eigenvalues(d, p, n), 2)
-    U = train @ (H[:, :2] / np.sqrt(n * d[:2]))
+    eig = sample_eigen(DataMatrix(train), 2)
+    # the proxy has 2n + 2 rows, so rescale with the design's own p
+    spectrum = rescale_eigenvalues(eig.d, _two_spike_p(gamma, n), n)
     return _two_spike_estimators(
-        U, train, project(U, train), project(U, test), estimates
+        eig.U, train, project(eig.U, train), project(eig.U, test),
+        component_estimates(spectrum, 2),
     )
 
 

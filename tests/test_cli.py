@@ -87,7 +87,9 @@ class TestFit:
         assert code == 0
         assert "warning" not in err
         monkeypatch.setattr(
-            spikepca.cli, "fit", functools.partial(spikepca.model.fit, max_iter=1)
+            spikepca.model,
+            "rescale_eigenvalues",
+            functools.partial(spikepca.model.rescale_eigenvalues, max_iter=1),
         )
         code, stuck_out, stuck_err = run_cli(capsys, *argv)
         assert code == 0
@@ -277,6 +279,7 @@ class TestRescale:
             (("--gamma", "-1"), "gamma must be >= 0, got -1.0"),
             (("--gamma", "nan"), "gamma must be >= 0, got nan"),
             (("--tol", "nan"), "tol must be positive, got nan"),
+            (("--tol", "-1"), "tol must be positive, got -1.0"),
         ],
     )
     def test_nan_fails_like_a_negative(self, capsys, tmp_path, option, message):
@@ -285,7 +288,24 @@ class TestRescale:
         code, out, err = run_cli(
             capsys, "rescale", str(path), "--p", "100", "--n", "50", *option
         )
-        assert (code, out) == (3, "")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "spectrum, code, message",
+        [
+            ("1\n3\n2\n", 2, "d_star must be sorted in non-increasing order"),
+            ("3\n-1\n", 2, "d_star contains negative eigenvalues"),
+            ("0\n0\n0\n", 3, "all sample eigenvalues are zero"),
+        ],
+    )
+    def test_bad_spectrum_is_input_error(self, capsys, tmp_path, spectrum, code, message):
+        # an all-zero spectrum is well-formed input with no rescaling, so
+        # it stays a numerical failure
+        path = tmp_path / "eigs.csv"
+        path.write_text(spectrum)
+        got, out, err = run_cli(capsys, "rescale", str(path), "--p", "100", "--n", "50")
+        assert (got, out) == (code, "")
         assert err == f"error: {message}\n"
 
     def test_gamma_override(self, capsys, tmp_path):

@@ -99,9 +99,9 @@ class TestReadMatrix:
 def scanned(path):
     """The cell-by-cell scanner's result for a file, or the error it raises."""
     text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     try:
-        return _scan_csv(lines, 1 if _is_header(lines[0]) else 0)
+        return _scan_csv(numbered[1 if _is_header(numbered[0][1]) else 0 :])
     except ParseError as exc:
         return exc
 
@@ -178,7 +178,7 @@ class TestParseCsvFastPath:
         np.testing.assert_array_equal(got, value)
 
     def test_clean_file_never_scans(self, tmp_path, monkeypatch):
-        def refuse(lines, start):
+        def refuse(numbered):
             raise AssertionError("a clean file reached the cell scanner")
 
         rng = np.random.default_rng(5)
@@ -203,6 +203,36 @@ class TestParseCsvFastPath:
         assert _is_header("s1, s2 ,s3")
         assert not _is_header("s1,2,s3")
         assert not _is_header(" 1_0 ,x")
+        assert not _is_header("1\x1f,2\x1f")
+        assert _is_header("\x1fs1\x1f, x ")
+
+    def test_padded_numeric_first_row_is_data(self, tmp_path):
+        # str.strip() removes \x1f but bare float() refuses it; the header
+        # test strips the cell as the scanner does, so the row is data
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1\x1f,2\x1f\n3,4\n5,6\n")
+        np.testing.assert_array_equal(_parse_csv(path), [[1, 2], [3, 4], [5, 6]])
+
+    def test_padded_non_numeric_first_row_is_a_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\x1fs1\x1f, x \n3,4\n5,6\n")
+        np.testing.assert_array_equal(_parse_csv(path), [[3, 4], [5, 6]])
+
+    @pytest.mark.parametrize(
+        "text, row, col, where",
+        [
+            ("1,2\n\n3,x\n", 3, 2, "at row 3, column 2"),
+            ("s1,s2\n\n1,2\n  \n3\n", 5, None, "line 5 has 1 cells"),
+        ],
+    )
+    def test_error_row_is_the_file_line(self, tmp_path, text, row, col, where):
+        # blank lines are skipped but still counted
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            _parse_csv(path)
+        assert (err.value.row, err.value.col) == (row, col)
+        assert where in str(err.value)
 
 
 class TestDataMatrix:
@@ -334,23 +364,17 @@ SPECIAL = st.sampled_from(
 def test_bulk_parse_matches_scanner(tmp_path_factory, cells):
     # random rectangular files of %.17g doubles, subnormals and signed
     # zeros included, with Unicode padding: the bulk path takes each one
-    # and gives the scanner's doubles bit for bit
+    # and gives the scanner's doubles bit for bit; every row is numeric
+    # once stripped, so none is taken for a header
     text = "".join(
         ",".join(f"{left}{v:.17g}{right}" for left, v, right in row) + "\n"
         for row in cells
     )
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes(text.encode())
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    # _is_header tests bare float(), which refuses \x1f padding, so a first
-    # row padded with it in every cell counts as a header
-    start = 1 if _is_header(lines[0]) else 0
-    if start == len(lines):
-        with pytest.raises(EmptyInput):
-            _parse_csv(path)
-        return
     expected = scanned(path)
-    bulk = _parse_clean(lines[start:])
+    assert expected.shape == (len(cells), len(cells[0]))
+    bulk = _parse_clean(text.splitlines())
     assert bulk is not None
     assert bulk.tobytes() == expected.tobytes()
     assert _parse_csv(path).tobytes() == expected.tobytes()

@@ -340,9 +340,9 @@ class TestJackknifeDowndate:
         calls = []
         original = spikepca.model.descending_eigh
 
-        def counting(M, k):
+        def counting(M):
             calls.append(M.shape)
-            return original(M, k)
+            return original(M)
 
         monkeypatch.setattr(spikepca.model, "descending_eigh", counting)
         return calls
