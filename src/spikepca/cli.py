@@ -17,6 +17,7 @@ from . import simulate
 from .errors import INPUT_ERRORS, DimensionError, DomainError, ParseError, SpikePcaError
 from .matrix_io import (
     DataMatrix,
+    _csv,
     _fmt,
     _parse_csv,
     read_model,
@@ -68,6 +69,9 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    # rescaling takes p and n as doubles, which hold every integer up to 2**53
+    if count > 2**53:
+        raise argparse.ArgumentTypeError(f"must be <= 2**53, got {count}")
     return count
 
 
@@ -77,23 +81,19 @@ def _cmd_fit(args) -> int:
     if args.out:
         write_model(model, args.out)
         print(f"model written to {args.out}", file=sys.stderr)
-    lines = ["component,d,d_hat,lambda_hat,spike,shrinkage,score_corr,evec_angle"]
-    for v in range(model.k):
-        lines.append(
-            ",".join(
-                [
-                    str(v + 1),
-                    _fmt(model.eig.d[v]),
-                    _fmt(model.spectrum.d_hat[v]),
-                    _fmt(model.spectrum.lambda_hat[v]),
-                    "true" if model.identifiable[v] else "false",
-                    _fmt(model.shrinkage[v]),
-                    _fmt(model.score_corr[v]),
-                    _fmt(model.evec_angle[v]),
-                ]
-            )
-        )
-    sys.stdout.write("\n".join(lines) + "\n")
+    rows = [("component", "d", "d_hat", "lambda_hat", "spike", "shrinkage",
+             "score_corr", "evec_angle")]
+    rows += zip(
+        range(1, model.k + 1),
+        model.eig.d,
+        model.spectrum.d_hat,
+        model.spectrum.lambda_hat,
+        model.identifiable,
+        model.shrinkage,
+        model.score_corr,
+        model.evec_angle,
+    )
+    sys.stdout.write(_csv(rows))
     print(
         f"p={model.p} n={model.n} gamma={model.gamma:g} k_spikes={model.k_spikes} "
         f"tau={model.spectrum.tau:g} converged={model.spectrum.converged}",
@@ -117,17 +117,14 @@ def _cmd_predict(args) -> int:
         "on": ("adjusted",),
         "both": ("naive", "adjusted"),
     }[args.adjusted]
-    lines = ["sample,pc," + ",".join(columns) + ",identifiable"]
+    values = [getattr(scores, column) for column in columns]
+    rows = [("sample", "pc", *columns, "identifiable")]
     for j in range(scores.m):
         for v in range(scores.k):
-            fields = [str(j + 1), str(v + 1)]
-            if "naive" in columns:
-                fields.append(_fmt(scores.naive[v, j]))
-            if "adjusted" in columns:
-                fields.append(_fmt(scores.adjusted[v, j]))
-            fields.append("true" if scores.identifiable[v] else "false")
-            lines.append(",".join(fields))
-    _emit("\n".join(lines) + "\n", args.out)
+            rows.append(
+                (j + 1, v + 1, *(a[v, j] for a in values), scores.identifiable[v])
+            )
+    _emit(_csv(rows), args.out)
     return 0
 
 
@@ -148,26 +145,23 @@ def _cmd_rescale(args) -> int:
         # here each argument is the user's file or option: exit 2, not 3
         raise ValueError(str(exc)) from exc
     ratios = d / d.sum()
-    lines = [
-        f"# k={spectrum.k} tau={_fmt(spectrum.tau)} gamma={_fmt(spectrum.gamma)} "
-        f"iterations={spectrum.iterations} "
-        f"converged={'true' if spectrum.converged else 'false'}",
-        "component,d,ratio,d_hat,lambda_hat,spike",
+    rows = [
+        (
+            f"# k={_fmt(spectrum.k)} tau={_fmt(spectrum.tau)} "
+            f"gamma={_fmt(spectrum.gamma)} iterations={_fmt(spectrum.iterations)} "
+            f"converged={_fmt(spectrum.converged)}",
+        ),
+        ("component", "d", "ratio", "d_hat", "lambda_hat", "spike"),
     ]
-    for v in range(d.size):
-        lines.append(
-            ",".join(
-                [
-                    str(v + 1),
-                    _fmt(d[v]),
-                    _fmt(ratios[v]),
-                    _fmt(spectrum.d_hat[v]),
-                    _fmt(spectrum.lambda_hat[v]),
-                    "true" if v < spectrum.k else "false",
-                ]
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    rows += zip(
+        range(1, d.size + 1),
+        d,
+        ratios,
+        spectrum.d_hat,
+        spectrum.lambda_hat,
+        np.arange(d.size) < spectrum.k,
+    )
+    _emit(_csv(rows), args.out)
     if not spectrum.converged:
         print("warning: rescaling did not converge", file=sys.stderr)
     return 0
@@ -176,19 +170,11 @@ def _cmd_rescale(args) -> int:
 def _cmd_jackknife(args) -> int:
     X = DataMatrix(_load_matrix(args.matrix, args.orientation, min_samples=4))
     estimate = jackknife_shrinkage(X, _MODE_CHOICES[args.mode], args.pc)
-    lines = [
-        "pc,jackknife,plugin_shrinkage,used,excluded",
-        ",".join(
-            [
-                str(args.pc),
-                _fmt(estimate.value),
-                _fmt(estimate.plugin),
-                str(estimate.used),
-                str(estimate.excluded),
-            ]
-        ),
+    rows = [
+        ("pc", "jackknife", "plugin_shrinkage", "used", "excluded"),
+        (args.pc, estimate.value, estimate.plugin, estimate.used, estimate.excluded),
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv(rows), args.out)
     return 0
 
 

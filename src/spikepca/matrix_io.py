@@ -1,8 +1,9 @@
 """CSV ingestion, row standardization, and model persistence.
 
-Data matrices are stored rows = variables, columns = samples. All text
-formats are decimal with 17 significant digits, which round-trips IEEE
-doubles exactly.
+Data matrices are stored rows = variables, columns = samples. Every
+text table and file the package writes encodes its cells with _fmt and
+its rows with _csv; numbers are decimal with 17 significant digits,
+which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +29,34 @@ MODEL_MAGIC = "spikepca-model"
 MODEL_FORMAT_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    """Decimal encoding used by every text format in the package."""
-    return f"{float(x):.17g}"
+def _fmt(x) -> str:
+    """Text of one cell: the one encoding of every table and file the
+    package writes.
+
+    A float prints with 17 significant digits, which round-trips IEEE
+    doubles exactly; a flag as true/false; an integer in full, never
+    through a float; None, a not-applicable cell, as empty; and a
+    string, a header or label, unchanged. bool is a subclass of int, so
+    flags are tested before integers.
+    """
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    return x
+
+
+def _csv(rows) -> str:
+    """Text of a table: the one row writer of the package.
+
+    Each row's cells go through _fmt and are joined by commas, and every
+    line ends in a newline; no rows make an empty text.
+    """
+    return "".join([",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
 @dataclass(frozen=True)
@@ -216,9 +242,8 @@ def read_matrix(path, orientation: str = "rows_are_variables") -> DataMatrix:
 
 def write_matrix(X: DataMatrix, path) -> None:
     """Write a DataMatrix as headerless CSV; read_matrix inverts it exactly."""
-    lines = [",".join(_fmt(v) for v in row) for row in X.values]
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(_csv(X.values))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -269,35 +294,33 @@ def write_model(model, path) -> None:
     (``shrinkage,score_corr,evec_angle`` per retained component).
     """
     spectrum = model.spectrum
-    lines = [MODEL_MAGIC, "[meta]"]
-    lines.append(f"format_version={MODEL_FORMAT_VERSION}")
-    lines.append(f"p={model.p}")
-    lines.append(f"n={model.n}")
-    lines.append(f"gamma={_fmt(model.gamma)}")
-    lines.append(f"mode={model.prep.mode}")
-    lines.append(f"k={model.k}")
-    lines.append(f"k_spikes={model.k_spikes}")
-    lines.append(f"tau={_fmt(spectrum.tau)}")
-    lines.append(f"iterations={spectrum.iterations}")
-    lines.append(f"converged={'true' if spectrum.converged else 'false'}")
-    lines.append("[means]")
-    lines.extend(_fmt(v) for v in model.prep.means)
-    lines.append("[scales]")
-    lines.extend(_fmt(v) for v in model.prep.scales)
-    lines.append("[eigenvalues]")
-    for d, dh, lh in zip(model.eig.d, spectrum.d_hat, spectrum.lambda_hat):
-        lines.append(f"{_fmt(d)},{_fmt(dh)},{_fmt(lh)}")
+    meta = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "p": model.p,
+        "n": model.n,
+        "gamma": model.gamma,
+        "mode": model.prep.mode,
+        "k": model.k,
+        "k_spikes": model.k_spikes,
+        "tau": spectrum.tau,
+        "iterations": spectrum.iterations,
+        "converged": spectrum.converged,
+    }
+    rows = [(MODEL_MAGIC,), ("[meta]",)]
+    rows += ((f"{key}={_fmt(value)}",) for key, value in meta.items())
+    rows.append(("[means]",))
+    rows += zip(model.prep.means)
+    rows.append(("[scales]",))
+    rows += zip(model.prep.scales)
+    rows.append(("[eigenvalues]",))
+    rows += zip(model.eig.d, spectrum.d_hat, spectrum.lambda_hat)
     for v in range(model.k):
-        lines.append(f"[eigenvector {v + 1}]")
-        lines.extend(_fmt(u) for u in model.eig.U[:, v])
-    lines.append("[adjustment]")
-    for v in range(model.k):
-        lines.append(
-            f"{_fmt(model.shrinkage[v])},{_fmt(model.score_corr[v])},"
-            f"{_fmt(model.evec_angle[v])}"
-        )
+        rows.append((f"[eigenvector {v + 1}]",))
+        rows += zip(model.eig.U[:, v])
+    rows.append(("[adjustment]",))
+    rows += zip(model.shrinkage, model.score_corr, model.evec_angle)
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(_csv(rows))
     except OSError as exc:
         raise FormatError(f"cannot write model to {path!r}: {exc}") from exc
 

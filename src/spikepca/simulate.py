@@ -23,7 +23,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .matrix_io import DataMatrix, _fmt
+from .matrix_io import DataMatrix, _csv
 from .model import component_estimates, fit, pcr_fit, pcr_mse, pcr_predict, predict
 from .spiked import (
     eigenvector_angle,
@@ -277,27 +277,11 @@ class SimulationReport:
         raise KeyError(f"no cell for estimator={estimator!r}")
 
     def to_csv(self) -> str:
-        rows = [self.CSV_HEADER]
+        rows = [(self.CSV_HEADER,)]
         for c in self.cells:
-            mean, sd, used = c.stats
-            rows.append(
-                ",".join(
-                    [
-                        c.design,
-                        "" if c.gamma is None else _fmt(c.gamma),
-                        "" if c.n is None else str(c.n),
-                        "" if c.g is None else str(c.g),
-                        "" if c.component is None else str(c.component),
-                        c.estimator,
-                        "" if c.analytic is None else _fmt(c.analytic),
-                        _fmt(mean),
-                        _fmt(sd),
-                        str(used),
-                        str(self.replicates),
-                    ]
-                )
-            )
-        return "\n".join(rows) + "\n"
+            rows.append((c.design, c.gamma, c.n, c.g, c.component, c.estimator,
+                         c.analytic, *c.stats, self.replicates))
+        return _csv(rows)
 
     def summary(self) -> str:
         lines = [
@@ -333,6 +317,9 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if replicates > 2**16:
+        # substream addresses a replicate with one 16-bit path component
+        raise ValueError(f"replicates must be <= 65536, got {replicates}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     design_id = _DESIGN_IDS[design]
@@ -580,19 +567,7 @@ def run_intro(
         design="intro", seed=seed, replicates=1, cells=tuple(cells)
     )
 
-    rows = [INTRO_SCORES_HEADER]
+    rows = [(INTRO_SCORES_HEADER,)]
     for name, pred in (("train", train_pred), ("test", test_pred)):
-        for j in range(pred.m):
-            rows.append(
-                ",".join(
-                    [
-                        name,
-                        str(int(labels[j])),
-                        _fmt(pred.naive[0, j]),
-                        _fmt(pred.naive[1, j]),
-                        _fmt(pred.adjusted[0, j]),
-                        _fmt(pred.adjusted[1, j]),
-                    ]
-                )
-            )
-    return report, "\n".join(rows) + "\n"
+        rows += zip([name] * pred.m, labels, *pred.naive, *pred.adjusted)
+    return report, _csv(rows)

@@ -31,6 +31,8 @@ from .errors import DegenerateMatrix, DimensionError, DomainError, NotIdentifiab
 def _check_gamma(gamma: float) -> None:
     if not gamma >= 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if gamma == math.inf:
+        raise DomainError(f"gamma must be finite, got {gamma}")
 
 
 def _check_spike(spike: float) -> None:
@@ -201,6 +203,8 @@ def rescale_eigenvalues(
         raise DomainError("d_star must be sorted in non-increasing order")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise DomainError(f"tol must be finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if total is None:

@@ -264,6 +264,9 @@ class TestRescale:
             (("--p", "ten", "--n", "5"), "argument --p: expected an integer"),
             (("--p", "4", "--n", "5", "--max-iter", "0"),
              "argument --max-iter: must be >= 1, got 0"),
+            # a count past 2**53 used to overflow p / n with a traceback
+            (("--p", "1" + "0" * 400, "--n", "5"),
+             "argument --p: must be <= 2**53, got 1" + "0" * 400),
         ],
     )
     def test_count_below_one_is_usage_error(self, capsys, tmp_path, counts, message):
@@ -280,6 +283,11 @@ class TestRescale:
             (("--gamma", "nan"), "gamma must be >= 0, got nan"),
             (("--tol", "nan"), "tol must be positive, got nan"),
             (("--tol", "-1"), "tol must be positive, got -1.0"),
+            # unchecked, tol=inf stops at once with converged=true and
+            # gamma=inf (1e400 reads as inf) finds no spike
+            (("--gamma", "inf"), "gamma must be finite, got inf"),
+            (("--gamma", "1e400"), "gamma must be finite, got inf"),
+            (("--tol", "inf"), "tol must be finite, got inf"),
         ],
     )
     def test_nan_fails_like_a_negative(self, capsys, tmp_path, option, message):
@@ -428,6 +436,16 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments: --replicates 0" in err
+
+    def test_replicates_past_stream_address_exits_2(self, capsys):
+        # substream keys a replicate with 16 bits; the count is checked
+        # before a draw rather than failing on the 65537th stream
+        code, out, err = run_cli(
+            capsys, "simulate", "table12", "--seed", "1", "--gamma", "20",
+            "--n", "10", "--replicates", "70000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: replicates must be <= 65536, got 70000\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, capsys, workers):

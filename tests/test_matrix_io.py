@@ -1,5 +1,6 @@
 """CSV ingestion, standardization, and model persistence."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,14 @@ from spikepca import (
     write_matrix,
     write_model,
 )
-from spikepca.matrix_io import _is_header, _parse_clean, _parse_csv, _scan_csv
+from spikepca.matrix_io import (
+    _csv,
+    _fmt,
+    _is_header,
+    _parse_clean,
+    _parse_csv,
+    _scan_csv,
+)
 
 
 class TestReadMatrix:
@@ -335,6 +343,35 @@ def test_csv_round_trip_exact(tmp_path_factory, p, n, scale, seed):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     write_matrix(X, path)
     np.testing.assert_array_equal(read_matrix(path).values, X.values)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1.0, "1"),
+        (np.float64(np.pi), "3.1415926535897931"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-0.0, "-0"),
+        (3e-300, "3.0000000000000002e-300"),
+        # an integer prints in full, never through a float's 1e+17
+        (10**17, "100000000000000000"),
+        (np.int64(600), "600"),
+        # a flag is an int subclass, so it is told apart before integers
+        (True, "true"),
+        (np.True_, "true"),
+        (None, ""),
+        ("lambda_hat", "lambda_hat"),
+    ],
+)
+def test_fmt_encodes_by_type(value, text):
+    assert _fmt(value) == text
+
+
+def test_csv_writes_header_and_rows():
+    rows = [("pc", "value", "used", "spike"), (1, 0.5, None, False), (2, -0.0, 7, True)]
+    assert _csv(rows) == "pc,value,used,spike\n1,0.5,,false\n2,-0,7,true\n"
+    assert _csv([]) == ""
 
 
 PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x1f", "\u2003"])

@@ -377,6 +377,14 @@ class TestDrivers:
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             run_table3(cells=((30, 20),), replicates=0, seed=1, p=200)
 
+    def test_replicates_past_stream_address_rejected(self, monkeypatch):
+        # rejected before any draw: substream would fail at replicate 65536
+        monkeypatch.setattr(simulate, "substream", None)
+        with pytest.raises(ValueError, match="replicates must be <= 65536, got 65537"):
+            run_table12(gammas=(1.0,), ns=(20,), replicates=65537, seed=1)
+        with pytest.raises(ValueError, match="replicates must be <= 65536, got 65537"):
+            run_table3(cells=((30, 20),), replicates=65537, seed=1, p=200)
+
     def test_workers_validation(self):
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers must be >= 1"):

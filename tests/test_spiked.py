@@ -47,6 +47,8 @@ class TestEigenvalueMaps:
             sample_eigenvalue_limit(1.0, 1.0)
         with pytest.raises(DomainError):
             sample_eigenvalue_limit(2.0, -0.5)
+        with pytest.raises(DomainError, match="gamma must be finite, got inf"):
+            sample_eigenvalue_limit(2.0, math.inf)
 
     @pytest.mark.parametrize(
         "call",
@@ -144,6 +146,8 @@ class TestAngles:
                 func(0.9, 1.0)
             with pytest.raises(DomainError):
                 func(2.0, -1.0)
+            with pytest.raises(DomainError):
+                func(2.0, math.inf)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 20.0])
     def test_threshold_continuity(self, gamma):
@@ -336,10 +340,13 @@ class TestRescale:
         [
             ({"gamma": math.nan}, "gamma must be >= 0, got nan"),
             ({"tol": math.nan}, "tol must be positive, got nan"),
+            ({"gamma": math.inf}, "gamma must be finite, got inf"),
+            ({"tol": math.inf}, "tol must be finite, got inf"),
         ],
     )
     def test_rejects_nan_gamma_and_tol(self, options, message):
-        # unchecked, gamma=nan finds no spike and tol=nan never converges
+        # unchecked, gamma=nan or inf finds no spike, tol=nan never
+        # converges and tol=inf converges after one step
         with pytest.raises(DomainError, match=message):
             rescale_eigenvalues(np.array([40.0, 3.0, 2.0, 1.0]), 4, 8, **options)
 
