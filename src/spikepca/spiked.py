@@ -192,6 +192,10 @@ def rescale_eigenvalues(
     """
     if p < 1 or n < 1:
         raise DimensionError(f"p and n must be >= 1, got p={p}, n={n}")
+    # p / n is taken in doubles, which hold every integer up to 2**53
+    for name, count in (("p", p), ("n", n)):
+        if count > 2**53:
+            raise DimensionError(f"{name} must be <= 2**53, got {count}")
     d = np.asarray(d_star, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise DomainError("d_star must be a non-empty 1-D array")

@@ -1,6 +1,7 @@
 """CSV ingestion, standardization, and model persistence."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,21 @@ def scanned(path):
         return exc
 
 
+def assert_parses_like_scanner(path):
+    """_parse_csv gives the scanner's doubles bit for bit, or its error."""
+    expected = scanned(path)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            _parse_csv(path)
+        assert str(err.value) == str(expected)
+        for attr in ("row", "col"):
+            assert getattr(err.value, attr, None) == getattr(expected, attr, None)
+    else:
+        got = _parse_csv(path)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestParseCsvFastPath:
     """_parse_csv agrees with the scanner, bit for bit or error for error."""
 
@@ -153,17 +169,7 @@ class TestParseCsvFastPath:
     def test_matches_scanner(self, tmp_path, name):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(self.FILES[name].encode())
-        expected = scanned(path)
-        if isinstance(expected, Exception):
-            with pytest.raises(type(expected)) as err:
-                _parse_csv(path)
-            assert str(err.value) == str(expected)
-            for attr in ("row", "col"):
-                assert getattr(err.value, attr, None) == getattr(expected, attr, None)
-        else:
-            got = _parse_csv(path)
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+        assert_parses_like_scanner(path)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -374,35 +380,201 @@ def test_csv_writes_header_and_rows():
     assert _csv([]) == ""
 
 
+def split_into(monkeypatch, blocks):
+    """Make the bulk parse cut a file of at least `blocks` rows into
+    `blocks` row blocks; returns the list of children the parent forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr("spikepca.matrix_io.SPLIT_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)), raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def loadtxt_calls(monkeypatch):
+    """Record the number of lines of each np.loadtxt call in this process."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split parse needs os.fork")
+class TestSplitParse:
+    """Row blocks converted by forked children give the single call's
+    result, bit for bit or error for error, and leave no process behind."""
+
+    # a header and a blank line, so data row i is file line i + 3
+    CLEAN = ["s1,s2,s3", ""] + [f"{i}.5,-{i},{i}e-3" for i in range(7)]
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    @pytest.mark.parametrize("name", sorted(TestParseCsvFastPath.FILES))
+    def test_matches_scanner(self, tmp_path, monkeypatch, name, blocks):
+        split_into(monkeypatch, blocks)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(TestParseCsvFastPath.FILES[name].encode())
+        assert_parses_like_scanner(path)
+        assert_no_child()
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_children_convert_all_but_the_first_block(self, tmp_path, monkeypatch, blocks):
+        forks = split_into(monkeypatch, blocks)
+        calls = loadtxt_calls(monkeypatch)
+        path = self.write(tmp_path, self.CLEAN)
+        assert_parses_like_scanner(path)
+        assert len(forks) == blocks - 1
+        assert calls == [7 // blocks]
+        assert_no_child()
+
+    @pytest.mark.parametrize(
+        "blocks, row",
+        # the last row, and the first row of a child's block
+        [(2, 6), (2, 3), (3, 6), (3, 2), (3, 4)],
+    )
+    @pytest.mark.parametrize("bad", ["4,x5,6", "4,nan,6", "4,5", "4,5,6,7", "4,5,6,"])
+    def test_bad_row_in_a_child_block(self, tmp_path, monkeypatch, blocks, row, bad):
+        forks = split_into(monkeypatch, blocks)
+        rows = list(self.CLEAN)
+        rows[2 + row] = bad
+        path = self.write(tmp_path, rows)
+        assert isinstance(scanned(path), ParseError)
+        assert_parses_like_scanner(path)
+        assert len(forks) == blocks - 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("row", ["1,2,3,4", "7"])
+    def test_child_block_of_another_width(self, tmp_path, monkeypatch, row):
+        # each block converts on its own; only the width check sees it
+        forks = split_into(monkeypatch, 2)
+        rows = self.CLEAN[:5] + [row] * 4
+        path = self.write(tmp_path, rows)
+        assert scanned(path).row == 6
+        assert_parses_like_scanner(path)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_without_fork_one_call(self, tmp_path, monkeypatch):
+        split_into(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        calls = loadtxt_calls(monkeypatch)
+        assert_parses_like_scanner(self.write(tmp_path, self.CLEAN))
+        assert calls == [7]
+
+    def test_failing_fork_one_call(self, tmp_path, monkeypatch):
+        def refuse():
+            raise OSError("fork refused")
+
+        split_into(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse)
+        calls = loadtxt_calls(monkeypatch)
+        assert_parses_like_scanner(self.write(tmp_path, self.CLEAN))
+        assert calls == [7]
+
+    def test_second_fork_failing_leaves_the_parent_a_leading_run(
+        self, tmp_path, monkeypatch
+    ):
+        forks = split_into(monkeypatch, 3)
+        counted_fork = os.fork
+
+        def once():
+            if forks:
+                raise OSError("fork refused")
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", once)
+        calls = loadtxt_calls(monkeypatch)
+        assert_parses_like_scanner(self.write(tmp_path, self.CLEAN))
+        # the last block went to the child, the first two to the parent
+        assert len(forks) == 1
+        assert calls == [4]
+        assert_no_child()
+
+    def test_interrupt_in_parent_reaps_children(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        split_into(monkeypatch, 3)
+        loadtxt = np.loadtxt
+
+        def interrupted(lines, *args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _parse_csv(self.write(tmp_path, self.CLEAN))
+        assert_no_child()
+
+    def test_interrupt_in_child_exits_it(self, tmp_path, monkeypatch):
+        # the child leaves through os._exit, never back into the caller;
+        # its failed block sends the file to the scanner
+        parent = os.getpid()
+        split_into(monkeypatch, 2)
+        loadtxt = np.loadtxt
+
+        def interrupted(lines, *args, **kwargs):
+            if os.getpid() != parent:
+                raise KeyboardInterrupt
+            return loadtxt(lines, *args, **kwargs)
+
+        scans = []
+
+        def scan(numbered):
+            scans.append(len(numbered))
+            return _scan_csv(numbered)
+
+        monkeypatch.setattr(np, "loadtxt", interrupted)
+        monkeypatch.setattr("spikepca.matrix_io._scan_csv", scan)
+        assert_parses_like_scanner(self.write(tmp_path, self.CLEAN))
+        assert scans == [7]
+        assert_no_child()
+
+
 PADDING = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x1f", "\u2003"])
 SPECIAL = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    cells=st.integers(1, 5).flatmap(
-        lambda width: st.lists(
-            st.lists(
-                st.tuples(
-                    PADDING,
-                    st.floats(allow_nan=False, allow_infinity=False) | SPECIAL,
-                    PADDING,
-                ),
-                min_size=width,
-                max_size=width,
+PADDED_ROWS = st.integers(1, 5).flatmap(
+    lambda width: st.lists(
+        st.lists(
+            st.tuples(
+                PADDING,
+                st.floats(allow_nan=False, allow_infinity=False) | SPECIAL,
+                PADDING,
             ),
-            min_size=1,
-            max_size=6,
-        )
+            min_size=width,
+            max_size=width,
+        ),
+        min_size=1,
+        max_size=6,
     )
 )
-def test_bulk_parse_matches_scanner(tmp_path_factory, cells):
-    # random rectangular files of %.17g doubles, subnormals and signed
-    # zeros included, with Unicode padding: the bulk path takes each one
-    # and gives the scanner's doubles bit for bit; every row is numeric
-    # once stripped, so none is taken for a header
+
+
+def assert_bulk_parse_matches_scanner(tmp_path_factory, cells):
     text = "".join(
         ",".join(f"{left}{v:.17g}{right}" for left, v, right in row) + "\n"
         for row in cells
@@ -415,6 +587,28 @@ def test_bulk_parse_matches_scanner(tmp_path_factory, cells):
     assert bulk is not None
     assert bulk.tobytes() == expected.tobytes()
     assert _parse_csv(path).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=PADDED_ROWS)
+def test_bulk_parse_matches_scanner(tmp_path_factory, cells):
+    # random rectangular files of %.17g doubles, subnormals and signed
+    # zeros included, with Unicode padding: the bulk path takes each one
+    # and gives the scanner's doubles bit for bit; every row is numeric
+    # once stripped, so none is taken for a header
+    assert_bulk_parse_matches_scanner(tmp_path_factory, cells)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split parse needs os.fork")
+@pytest.mark.parametrize("blocks", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(cells=PADDED_ROWS)
+def test_split_parse_matches_scanner(tmp_path_factory, blocks, cells):
+    # the same files cut into row blocks that forked children convert
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        split_into(monkeypatch, blocks)
+        assert_bulk_parse_matches_scanner(tmp_path_factory, cells)
+    assert_no_child()
 
 
 def edit_model_cell(path, section, row, col, value):

@@ -358,6 +358,15 @@ class TestRescale:
         with pytest.raises(DimensionError):
             rescale_eigenvalues(np.array([4.0, 3.0]), p, n, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "p, n, name", [(10**400, 50, "p"), (100, 10**400, "n"), (2**53 + 1, 5, "p")]
+    )
+    def test_rejects_counts_past_exact_doubles(self, p, n, name):
+        # unchecked, a count too large for a double raises a bare
+        # OverflowError from p / n
+        with pytest.raises(DimensionError, match=rf"{name} must be <= 2\*\*53, got {max(p, n)}$"):
+            rescale_eigenvalues(np.array([40.0, 3.0, 2.0, 1.0]), p, n)
+
     def test_leading_eigenvalues_with_total(self):
         # the three spikes and a tail whose rescaled values stay below the
         # edge: the leading four plus the trace give the full result
