@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="(n, g) configuration (repeatable)"),
         "--p": dict(type=int, help="variable count"),
         "--replicates": dict(type=int),
-        "--workers": dict(type=int, help="worker threads"),
+        "--workers": dict(type=int, help="worker processes"),
         "--scores-out": dict(default=None, help="write the score dump here"),
     }
     for study, flags, help_text in (

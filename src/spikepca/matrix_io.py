@@ -8,13 +8,12 @@ which round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
-import mmap
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._workers import block_count, fork_blocks, shared_rows
 from .errors import (
     DegenerateVariable,
     DimensionError,
@@ -197,39 +196,17 @@ def _parse_clean(lines: list) -> np.ndarray | None:
     doubles. Where os.fork is missing or fails, one call converts all.
     """
     m, width = len(lines), lines[0].count(",") + 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    blocks = min(cores, m * width // SPLIT_CELLS, m) if hasattr(os, "fork") else 1
+    blocks = block_count(min(m * width // SPLIT_CELLS, m))
     if blocks < 2:
         return _convert(lines)
-    out = np.frombuffer(mmap.mmap(-1, m * width * 8), dtype=np.float64)
-    out = out.reshape(m, width)
-    bounds = [m * b // blocks for b in range(blocks + 1)]
-    children, own, filled = [], m, False
-    try:
-        # The last block is forked first, so the rows left to the parent
-        # when a fork fails are always one leading run.
-        for lo, hi in reversed(list(zip(bounds[1:-1], bounds[2:]))):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    status = 0 if _convert_into(lines[lo:hi], out[lo:hi]) else 1
-                finally:
-                    os._exit(status)
-            children.append(pid)
-            own = lo
-        if not children:
-            return _convert(lines)
-        filled = _convert_into(lines[:own], out[:own])
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    return out if filled and not any(statuses) else None
+    out = shared_rows(m, width)
+    failed = fork_blocks(
+        [m * b // blocks for b in range(blocks + 1)],
+        lambda lo, hi: _convert_into(lines[lo:hi], out[lo:hi]),
+    )
+    if failed is None:
+        return _convert(lines)
+    return None if failed else out
 
 
 def _convert(lines: list) -> np.ndarray | None:

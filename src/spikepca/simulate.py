@@ -10,13 +10,12 @@ reproducible byte for byte and replicates can be evaluated in any order
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workers import block_count, fork_blocks, one_blas_thread, shared_rows
 from .eigen import pc_scores, project, sample_eigen
 from .errors import (
     DegenerateInput,
@@ -314,6 +313,10 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
     count. ``replicate`` returns {(estimator, component): value}, in the
     order the report lists them; a cell's gamma, n and g label its rows,
     and ``analytic(estimator, component, gamma)`` gives the reference.
+
+    Every replicate runs with BLAS at one thread, so the report does not
+    depend on the BLAS thread count either, and ``workers`` processes
+    share each cell's replicates (_replicate_values).
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -324,32 +327,63 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
         raise ValueError("workers must be >= 1")
     design_id = _DESIGN_IDS[design]
     rows = []
-    for index, cell in enumerate(cells):
-        streams = [substream(seed, design_id, index, rep) for rep in range(replicates)]
-        draw = functools.partial(replicate, **cell)
-        if workers == 1:
-            results = [draw(rng) for rng in streams]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(draw, streams))
-        for estimator, component in results[0]:
-            rows.append(
-                EstimatorCell(
-                    design=design,
-                    estimator=estimator,
-                    component=component,
-                    gamma=cell.get("gamma"),
-                    n=cell["n"],
-                    g=cell.get("g"),
-                    analytic=None
-                    if analytic is None
-                    else analytic(estimator, component, cell["gamma"]),
-                    values=tuple(r[estimator, component] for r in results),
-                )
+    with one_blas_thread():
+        for index, cell in enumerate(cells):
+            keys, values = _replicate_values(
+                lambda rep: replicate(substream(seed, design_id, index, rep), **cell),
+                replicates,
+                workers,
             )
+            for (estimator, component), column in zip(keys, values.T):
+                rows.append(
+                    EstimatorCell(
+                        design=design,
+                        estimator=estimator,
+                        component=component,
+                        gamma=cell.get("gamma"),
+                        n=cell["n"],
+                        g=cell.get("g"),
+                        analytic=None
+                        if analytic is None
+                        else analytic(estimator, component, cell["gamma"]),
+                        values=tuple(column.tolist()),
+                    )
+                )
     return SimulationReport(
         design=design, seed=seed, replicates=replicates, cells=tuple(rows)
     )
+
+
+def _replicate_values(draw, replicates, workers):
+    """The estimator keys of ``draw(rep)`` and a replicates x keys array
+    of its values.
+
+    This process draws replicate 0 to learn the keys. The rest are split
+    into contiguous blocks, at most one per worker and per usable core,
+    and every block but the first goes to a forked child that writes its
+    rows of the shared array. A block whose child fails is drawn again
+    here, so an exception surfaces as it does with one worker; so is
+    every replicate when no child can be forked.
+    """
+    first = draw(0)
+    keys = list(first)
+    values = shared_rows(replicates, len(keys))
+    values[0] = [first[key] for key in keys]
+
+    def fill(lo, hi):
+        for rep in range(lo, hi):
+            result = draw(rep)
+            values[rep] = [result[key] for key in keys]
+        return True
+
+    rest = replicates - 1
+    blocks = block_count(min(workers, rest))
+    failed = None
+    if blocks > 1:
+        failed = fork_blocks([1 + rest * b // blocks for b in range(blocks + 1)], fill)
+    for lo, hi in [(1, replicates)] if failed is None else failed:
+        fill(lo, hi)
+    return keys, values
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +487,9 @@ def run_table12(
     contribute no plug-in value (the `used` count reflects it). Cells
     with p - 2 >= 2n draw the rotated data of _two_spike_proxy instead
     of the p x n matrices. Raises ValueError for a cell gen_two_spike
-    would reject, before any draw.
+    would reject, before any draw. ``workers`` processes share each
+    cell's replicates (see _run_study); the report is the same at any
+    count.
     """
     grid = [{"gamma": float(gamma), "n": int(n)} for gamma in gammas for n in ns]
     for cell in grid:
@@ -506,6 +542,8 @@ def run_table3(
     train set, regress the outcome on the first PC score, and evaluate
     test MSE using naive and bias-adjusted predicted scores. Raises
     ValueError for a cell gen_pcr would reject, before any draw.
+    ``workers`` processes share each cell's replicates (see _run_study);
+    the report is the same at any count.
     """
     grid = [{"n": int(n), "g": int(g), "p": p} for n, g in cells]
     for cell in grid:

@@ -195,7 +195,11 @@ def rescale_eigenvalues(
     # p / n is taken in doubles, which hold every integer up to 2**53
     for name, count in (("p", p), ("n", n)):
         if count > 2**53:
-            raise DimensionError(f"{name} must be <= 2**53, got {count}")
+            try:
+                shown = str(count)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                shown = f"an integer of {count.bit_length()} bits"
+            raise DimensionError(f"{name} must be <= 2**53, got {shown}")
     d = np.asarray(d_star, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise DomainError("d_star must be a non-empty 1-D array")

@@ -1,10 +1,9 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The simulation
-criteria are deterministic for the seeds fixed here; the two long ones
-(criteria 2 and 3) take about 8 s and 16 s on 2 cores. They run with
-one worker thread: more workers contend with a multithreaded BLAS for
-the cores, and at 4 workers criterion 2 took 33 s.
+criteria are deterministic for the seeds fixed here. The two long ones
+(criteria 2 and 3) run with two worker processes, each replicate at one
+BLAS thread; their reports are the same at any worker count.
 """
 
 import math
@@ -79,6 +78,7 @@ def test_criterion_2_simulation_tables():
         ns=(100, 200),
         replicates=200,
         seed=SEED,
+        workers=2,
     )
     worst = 0.0
     worst_cell = ""
@@ -104,7 +104,7 @@ def test_criterion_2_simulation_tables():
 def test_criterion_3_pc_regression():
     """Test MSE bands and the adjusted-beats-unadjusted rate."""
     report = run_table3(
-        cells=((100, 300), (200, 300)), replicates=100, seed=SEED
+        cells=((100, 300), (200, 300)), replicates=100, seed=SEED, workers=2
     )
     targets = {(100, 300): (1.63, 1.17, 1.12), (200, 300): (1.39, 1.08, 1.07)}
     problems = []

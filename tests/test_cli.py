@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spikepca import DataMatrix, gen_two_spike, write_matrix
+from spikepca._workers import _openblas_threads
 import spikepca.cli
 import spikepca.model
 from spikepca.cli import build_parser, main
@@ -600,7 +601,8 @@ class TestColdStart:
 
 
 class TestBlasThreadCount:
-    """predict and jackknife print the same bytes at 1 and 2 BLAS threads."""
+    """predict, jackknife and simulate print the same bytes at 1 and 2 BLAS
+    threads."""
 
     @staticmethod
     def spikepca(threads, *argv):
@@ -642,3 +644,17 @@ class TestBlasThreadCount:
     def test_stdout_is_byte_identical(self, files, argv):
         argv = [a.format(**files) for a in argv]
         assert self.spikepca(1, *argv) == self.spikepca(2, *argv)
+
+    @pytest.mark.skipif(_openblas_threads() is None,
+                        reason="numpy carries no OpenBLAS thread hook")
+    def test_simulate_is_byte_identical_at_any_worker_count(self):
+        # every replicate runs at one BLAS thread, in the parent and in its
+        # forked workers; at 2 threads the square cell's eigh rounds apart
+        argv = ("simulate", "table12", "--seed", "3", "--gamma", "1", "--n", "100",
+                "--replicates", "3")
+        outputs = [
+            self.spikepca(threads, *argv, "--workers", workers)
+            for threads in (1, 2)
+            for workers in (1, 2)
+        ]
+        assert outputs[1:] == outputs[:1] * 3

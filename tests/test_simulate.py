@@ -1,6 +1,7 @@
 """Generators, empirical estimators, and experiment drivers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from spikepca import (
     run_table12,
     sample_eigen,
 )
-from spikepca import simulate
+from spikepca import _workers, simulate
 from spikepca.simulate import (
     INTRO_SCORES_HEADER,
     _reduced_two_spike_replicate,
@@ -245,13 +246,18 @@ class TestDrivers:
         assert a == b
 
     def test_workers_do_not_change_results(self):
-        base = run_table12(
-            gammas=(1.0, 20.0), ns=(100,), replicates=4, seed=5
-        ).to_csv()
-        threaded = run_table12(
-            gammas=(1.0, 20.0), ns=(100,), replicates=4, seed=5, workers=3
-        ).to_csv()
-        assert base == threaded
+        # 2 workers split the last three replicates of a cell in two, 5
+        # workers in as many blocks as there are usable cores
+        for study in (
+            lambda workers: run_table12(
+                gammas=(1.0, 20.0), ns=(100,), replicates=4, seed=5, workers=workers
+            ),
+            lambda workers: run_table3(
+                cells=((20, 5), (40, 10)), replicates=4, seed=5, p=100, workers=workers
+            ),
+        ):
+            reports = [study(workers).to_csv() for workers in (1, 2, 5)]
+            assert reports[1:] == reports[:1] * 2
 
     @pytest.mark.parametrize("p, direct", [(21, True), (22, False)])
     def test_table12_draw_follows_bartlett_rule(self, monkeypatch, p, direct):
@@ -419,3 +425,98 @@ class TestDrivers:
         monkeypatch.setattr(simulate, "_run_study", None)
         with pytest.raises(ValueError, match=message):
             run_table3(cells=((30, 5), (n, g)), seed=1, p=p)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raising_at(rep):
+    """_table12_replicate, raising DegenerateInput at replicate `rep`."""
+    replicate = simulate._table12_replicate
+
+    def raising(rng, **cell):
+        # substream's key ends in the 16-bit replicate number
+        if rng.bit_generator.state["state"]["key"][1] & 0xFFFF == rep:
+            raise DegenerateInput(f"replicate {rep} failed")
+        return replicate(rng, **cell)
+
+    return raising
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
+class TestWorkerProcesses:
+    """Replicates after the first run in forked children; at most 4 per
+    cell here, so even a broken block count forks only a few."""
+
+    CELL = dict(gammas=(1.0,), ns=(20,), replicates=4, seed=5)
+
+    def counted_forks(self, monkeypatch, cores):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    def test_one_block_per_usable_core(self, monkeypatch):
+        forks = self.counted_forks(monkeypatch, 2)
+        forked = run_table12(**self.CELL, workers=5).to_csv()
+        assert len(forks) == 1
+        assert forked == run_table12(**self.CELL).to_csv()
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("rep", [0, 1, 3])
+    def test_failing_replicate_raises_as_with_one_worker(self, monkeypatch, rep, workers):
+        # at 4 cores, 5 workers split replicates 1-3 into one block each
+        # and fork two children: 0 fails before any fork, 1 in the
+        # parent's own block and 3 in a child's, which the parent then
+        # runs again
+        forks = self.counted_forks(monkeypatch, 4)
+        monkeypatch.setattr(simulate, "_table12_replicate", raising_at(rep))
+        with pytest.raises(DegenerateInput, match=rf"^replicate {rep} failed$"):
+            run_table12(**self.CELL, workers=workers)
+        assert len(forks) == (0 if rep == 0 else min(workers, 3) - 1)
+        assert_no_child()
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        serial = run_table12(**self.CELL).to_csv()
+        monkeypatch.delattr(os, "fork")
+        assert run_table12(**self.CELL, workers=2).to_csv() == serial
+
+    def test_failing_fork_runs_serially(self, monkeypatch):
+        def refuse():
+            raise OSError("fork refused")
+
+        serial = run_table12(**self.CELL).to_csv()
+        monkeypatch.setattr(os, "fork", refuse)
+        assert run_table12(**self.CELL, workers=2).to_csv() == serial
+
+
+@pytest.mark.skipif(_workers._openblas_threads() is None,
+                    reason="numpy carries no OpenBLAS thread hook")
+def test_replicates_run_at_one_blas_thread(monkeypatch):
+    get, set_ = _workers._openblas_threads()
+    replicate = simulate._table12_replicate
+    seen = []
+
+    def recording(rng, **cell):
+        seen.append(get())
+        return replicate(rng, **cell)
+
+    monkeypatch.setattr(simulate, "_table12_replicate", recording)
+    previous = get()
+    set_(2)
+    try:
+        run_table12(gammas=(1.0,), ns=(20,), replicates=2, seed=5)
+        assert (seen, get()) == ([1, 1], 2)
+    finally:
+        set_(previous)

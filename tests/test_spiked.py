@@ -367,6 +367,16 @@ class TestRescale:
         with pytest.raises(DimensionError, match=rf"{name} must be <= 2\*\*53, got {max(p, n)}$"):
             rescale_eigenvalues(np.array([40.0, 3.0, 2.0, 1.0]), p, n)
 
+    @pytest.mark.parametrize(
+        "p, n, name", [(10**5000, 50, "p"), (100, 10**5000, "n")], ids=["p", "n"]
+    )
+    def test_names_a_count_past_the_digit_limit_by_its_bits(self, p, n, name):
+        # 10**5000 has more decimal digits than int-to-str allows; the
+        # message must not fail while naming it
+        with pytest.raises(DimensionError,
+                           match=rf"{name} must be <= 2\*\*53, got an integer of 16610 bits$"):
+            rescale_eigenvalues(np.array([40.0, 3.0, 2.0, 1.0]), p, n)
+
     def test_leading_eigenvalues_with_total(self):
         # the three spikes and a tail whose rescaled values stay below the
         # edge: the leading four plus the trace give the full result
