@@ -144,6 +144,14 @@ def _cmd_rescale(args) -> int:
         # every DomainError of rescale_eigenvalues rejects an argument, and
         # here each argument is the user's file or option: exit 2, not 3
         raise ValueError(str(exc)) from exc
+    # checked after rescale_eigenvalues' own argument checks, so each of
+    # those keeps its message; a spectrum of any other length than
+    # min(p, n) misstates the trace the rescaling normalizes by
+    m = min(args.p, args.n)
+    if d.size != m:
+        raise DimensionError(
+            f"{args.eigenvalues}: expected min(p, n) = {m} eigenvalues, got {d.size}"
+        )
     ratios = d / d.sum()
     rows = [
         (
@@ -240,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=_cmd_predict)
 
     p_res = sub.add_parser("rescale", help="rescale an externally computed spectrum")
-    p_res.add_argument("eigenvalues", help="CSV with one eigenvalue per line")
+    p_res.add_argument("eigenvalues",
+                       help="CSV with all min(p, n) eigenvalues, one per line")
     p_res.add_argument("--p", type=_positive_int, required=True,
                        help="variable count")
     p_res.add_argument("--n", type=_positive_int, required=True,

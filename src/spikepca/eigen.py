@@ -2,11 +2,14 @@
 
 For p > n the decomposition goes through the n x n Gram matrix
 X^T X / n, whose nonzero eigenvalues equal those of the covariance;
-covariance eigenvectors are recovered as X h / sqrt(n d). Eigenvector
-signs are fixed (largest-magnitude entry positive, ties to the lowest
-index) so results are reproducible byte for byte. downdate_leading
-gives the leading eigenvalues of diagonal-minus-rank-one matrices, the
-jackknife's leave-one-out replicates, by the secular equation.
+covariance eigenvectors are recovered as X h / sqrt(n d). That choice
+is made in this module alone: sample_eigen and the jackknife share
+_covariance_eigh, and the jackknife's downdate reads its basis through
+_scatter_coordinates. Eigenvector signs are fixed
+(largest-magnitude entry positive, ties to the lowest index) so results
+are reproducible byte for byte. downdate_leading gives the leading
+eigenvalues of diagonal-minus-rank-one matrices, the jackknife's
+leave-one-out replicates, by the secular equation.
 """
 
 from __future__ import annotations
@@ -85,25 +88,51 @@ def sample_eigen(X: DataMatrix, k: int | Callable[[np.ndarray], int]) -> SampleE
     DimensionError for k outside [1, min(p, n)] and DegenerateMatrix
     for an all-zero X.
     """
-    p, n = X.p, X.n
-    m = min(p, n)
+    m = min(X.p, X.n)
     if not callable(k):
         _check_k(k, m)
     A = X.values
-    if not A.any():
-        raise DegenerateMatrix("cannot decompose an all-zero matrix")
-
-    d, V, rank = descending_eigh(A @ A.T / n if p <= n else A.T @ A / n)
+    d, V, rank = _covariance_eigh(A)
     if callable(k):
         k = k(d)
         _check_k(k, m)
-    k_eff = min(k, rank)
+    return SampleEigen(d=d, U=_eigenvectors(A, d, V, min(k, rank)), gamma=X.p / X.n)
+
+
+def _covariance_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """descending_eigh of the p x n matrix A's sample covariance A A' / n.
+
+    It takes the p x p covariance when p <= n, else the n x n Gram
+    matrix A'A / n, whose nonzero eigenvalues are the covariance's;
+    _eigenvectors and _scatter_coordinates read V by the same rule.
+    Raises DegenerateMatrix for an all-zero A.
+    """
+    p, n = A.shape
+    if not A.any():
+        raise DegenerateMatrix("cannot decompose an all-zero matrix")
+    return descending_eigh(A @ A.T / n if p <= n else A.T @ A / n)
+
+
+def _eigenvectors(A: np.ndarray, d: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
+    """The first k covariance eigenvectors (k at most the rank) from
+    _covariance_eigh's d and V, signs fixed: V's columns on the
+    covariance side, A h / sqrt(n d) on the Gram side."""
+    p, n = A.shape
     if p <= n:
-        U = np.array(V[:, :k_eff])
+        U = np.array(V[:, :k])
     else:
-        U = A @ (V[:, :k_eff] / np.sqrt(n * d[:k_eff]))
-    U = _fix_signs(np.ascontiguousarray(U))
-    return SampleEigen(d=d, U=U, gamma=p / n)
+        U = A @ (V[:, :k] / np.sqrt(n * d[:k]))
+    return _fix_signs(np.ascontiguousarray(U))
+
+
+def _scatter_coordinates(A: np.ndarray, d: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """W'A for the eigenbasis W of A A' = W diag(n d) W', from
+    _covariance_eigh's d and V: V'A on the covariance side, and
+    sqrt(n d) V' on the Gram side, where A'A = V diag(n d) V'."""
+    p, n = A.shape
+    if p <= n:
+        return V.T @ A
+    return np.sqrt(n * d)[:, None] * V.T
 
 
 def _check_k(k: int, m: int) -> None:

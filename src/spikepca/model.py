@@ -18,9 +18,10 @@ import numpy as np
 from .eigen import (
     RANK_TOL,
     SampleEigen,
-    descending_eigh,
+    _covariance_eigh,
+    _eigenvectors,
+    _scatter_coordinates,
     downdate_leading,
-    pc_scores,
     project,
     sample_eigen,
 )
@@ -230,37 +231,43 @@ def jackknife_shrinkage(
     not classify the component as a spike are excluded and counted.
 
     Modes none and center do not refit: leaving a sample out is a
-    rank-one change of the scatter matrix. The jackknife costs two
-    eigendecompositions of size min(p, n): the full-data fit's, for the
-    plug-in and the in-sample scores, and one of the standardized
-    scatter for the downdate basis (through the Gram matrix when
-    p > n - 1). Each replicate then costs a secular-equation solve for
-    the leading K eigenvalues of a diagonal-plus-rank-one matrix,
-    O(K min(p, n)) per iteration, with K a few above the component.
-    The exception is a sample holding nearly all of the scatter, whose
-    replicate is refit. center_scale refits throughout, because its
-    scales change with each left-out sample.
+    rank-one change of the scatter matrix. The jackknife costs one
+    eigendecomposition of size min(p, n), the one fit() makes
+    (eigen._covariance_eigh): it gives the plug-in, the in-sample
+    scores and the downdate basis. Each replicate then costs a
+    secular-equation solve for the leading K eigenvalues of a
+    diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with K
+    a few above the component. The exception is a sample holding nearly
+    all of the scatter, whose replicate is refit. center_scale refits
+    throughout, because its scales change with each left-out sample.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
     if component < 1:
         raise DomainError(f"component must be >= 1, got {component}")
     Xs, _ = standardize(X, mode)
-    # Xs is already standardized, so mode "none" reproduces fit(X, mode)
-    # without standardizing a second time.
-    full = fit(Xs, "none", k=component)
-    if component > full.k_spikes:
+    m = min(X.p, X.n)
+    if component > m:
+        raise DimensionError(f"k must be in [1, {m}], got {component}")
+    # the steps of fit(Xs, "none", k=component), which sees the
+    # standardized matrix, keeping the decomposition for the downdate
+    A = Xs.values
+    d, V, _ = _covariance_eigh(A)
+    spectrum = rescale_eigenvalues(d, X.p, X.n)
+    if component > spectrum.k:
         raise NotIdentifiable(
             f"component {component} is not a spike in the full-data fit "
-            f"(k_spikes={full.k_spikes})"
+            f"(k_spikes={spectrum.k})"
         )
-    sample_row = pc_scores(Xs, full.eig)[component - 1]
+    plugin = float(component_estimates(spectrum, component)[0][component - 1])
+    # a spike's eigenvalue is positive, so component <= the rank
+    sample_row = project(_eigenvectors(A, d, V, component), A)[component - 1]
     mean_sq_sample = float(np.mean(sample_row**2))
 
     if mode == "center_scale":
         held_out = np.array([_refit_one(X, mode, component, j) for j in range(X.n)])
     else:
-        held_out = _downdate_replicates(X, Xs.values, mode, component)
+        held_out = _downdate_replicates(X, A, d, V, mode, component)
     used = held_out[~np.isnan(held_out)]
     if not used.size:
         raise NotIdentifiable(
@@ -271,7 +278,7 @@ def jackknife_shrinkage(
         value=value,
         used=used.size,
         excluded=X.n - used.size,
-        plugin=float(full.shrinkage[component - 1]),
+        plugin=plugin,
     )
 
 
@@ -291,17 +298,19 @@ DOWNDATE_MIN_SHARE = 1e-3
 
 
 def _downdate_replicates(
-    X: DataMatrix, A: np.ndarray, mode: str, component: int
+    X: DataMatrix, A: np.ndarray, d: np.ndarray, V: np.ndarray, mode: str,
+    component: int,
 ) -> np.ndarray:
-    """Held-out naive scores from one scatter decomposition; NaN marks an exclusion.
+    """Held-out naive scores from the full-data decomposition; NaN marks an exclusion.
 
     With A the standardized p x n matrix (columns a_j) and rho = n/(n-1)
     for center, 1 for none, leaving out sample j gives the replicate
     scatter (n - 1) S_-j = A A' - rho a_j a_j' (centered columns sum to
-    zero) and the held-out sample z_j = rho a_j. In the eigenbasis W of
-    A A' = W diag(lam) W', taken through the Gram matrix A'A = H diag(lam)
-    H' when p > n - 1 (then W'A = sqrt(lam) H'), the replicate is
-    diag(lam) - rho w w' with w = W'a_j and trace sum(lam) - rho |w|^2.
+    zero) and the held-out sample z_j = rho a_j. (d, V) is
+    eigen._covariance_eigh(A), so A A' = W diag(lam) W' with lam = n d,
+    and eigen._scatter_coordinates gives W'A on either side. The
+    replicate is then diag(lam) - rho w w' with w = W'a_j and trace
+    sum(lam) - rho |w|^2.
     downdate_leading solves its leading K eigenvalues by the secular
     equation, with the score rho q'w along the component's eigenvector
     q. The rescaling runs on those K plus the trace; K starts a few
@@ -322,13 +331,8 @@ def _downdate_replicates(
     norms = np.einsum("ij,ij->j", A, A)
     total = norms.sum()
     refit = total - rho * norms < DOWNDATE_MIN_SHARE * total
-    if p > m:
-        lam, H, _ = descending_eigh(A.T @ A)
-        WA = np.sqrt(lam)[:, None] * H.T
-    else:
-        lam, V, _ = descending_eigh(A @ A.T)
-        WA = V.T @ A
-    W = WA.T
+    lam = n * d
+    W = _scatter_coordinates(A, d, V).T
     traces = lam.sum() - rho * np.einsum("ij,ij->i", W, W)
     edge = (1 + math.sqrt(p / m)) ** 2
     held_out = np.full(n, np.nan)

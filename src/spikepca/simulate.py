@@ -305,14 +305,15 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_study(design, replicate, cells, replicates, seed, workers, analytic=None):
+def _run_study(design, replicate, keys, cells, replicates, seed, workers, analytic=None):
     """Report of ``replicate(rng, **cell)`` over the replicates of each cell.
 
     Replicate rep of the i-th cell draws from substream(seed, design, i,
     rep), so the report is the same in any order and at any worker
-    count. ``replicate`` returns {(estimator, component): value}, in the
-    order the report lists them; a cell's gamma, n and g label its rows,
-    and ``analytic(estimator, component, gamma)`` gives the reference.
+    count. ``replicate`` returns {(estimator, component): value} for
+    each of the study's fixed ``keys``, which the report lists in that
+    order; a cell's gamma, n and g label its rows, and
+    ``analytic(estimator, component, gamma)`` gives the reference.
 
     Every replicate runs with BLAS at one thread, so the report does not
     depend on the BLAS thread count either, and ``workers`` processes
@@ -329,8 +330,9 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
     rows = []
     with one_blas_thread():
         for index, cell in enumerate(cells):
-            keys, values = _replicate_values(
+            values = _replicate_values(
                 lambda rep: replicate(substream(seed, design_id, index, rep), **cell),
+                keys,
                 replicates,
                 workers,
             )
@@ -354,21 +356,16 @@ def _run_study(design, replicate, cells, replicates, seed, workers, analytic=Non
     )
 
 
-def _replicate_values(draw, replicates, workers):
-    """The estimator keys of ``draw(rep)`` and a replicates x keys array
-    of its values.
+def _replicate_values(draw, keys, replicates, workers):
+    """A replicates x keys array of the values ``draw(rep)`` gives for ``keys``.
 
-    This process draws replicate 0 to learn the keys. The rest are split
-    into contiguous blocks, at most one per worker and per usable core,
-    and every block but the first goes to a forked child that writes its
-    rows of the shared array. A block whose child fails is drawn again
-    here, so an exception surfaces as it does with one worker; so is
-    every replicate when no child can be forked.
+    The replicates are split into contiguous blocks, at most one per
+    worker and per usable core, and every block but the first goes to a
+    forked child that writes its rows of the shared array. A block whose
+    child fails is drawn again here, so an exception surfaces as it does
+    with one worker; so is every replicate when no child can be forked.
     """
-    first = draw(0)
-    keys = list(first)
     values = shared_rows(replicates, len(keys))
-    values[0] = [first[key] for key in keys]
 
     def fill(lo, hi):
         for rep in range(lo, hi):
@@ -376,19 +373,34 @@ def _replicate_values(draw, replicates, workers):
             values[rep] = [result[key] for key in keys]
         return True
 
-    rest = replicates - 1
-    blocks = block_count(min(workers, rest))
+    blocks = block_count(min(workers, replicates))
     failed = None
     if blocks > 1:
-        failed = fork_blocks([1 + rest * b // blocks for b in range(blocks + 1)], fill)
-    for lo, hi in [(1, replicates)] if failed is None else failed:
+        failed = fork_blocks([replicates * b // blocks for b in range(blocks + 1)], fill)
+    for lo, hi in [(0, replicates)] if failed is None else failed:
         fill(lo, hi)
-    return keys, values
+    return values
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
+
+
+# A study's estimator keys, in report order, are fixed, so its replicate
+# buffer is sized before any replicate is drawn.
+_TWO_SPIKE_KEYS = tuple(
+    (name, component)
+    for name in (
+        "evec_angle_empirical",
+        "evec_angle_plugin",
+        "score_angle_empirical",
+        "score_angle_plugin",
+        "shrinkage_empirical",
+        "shrinkage_plugin",
+    )
+    for component in (1, 2)
+)
 
 
 def _two_spike_estimators(U, spike_rows, train_scores, test_scores, estimates) -> dict:
@@ -418,11 +430,7 @@ def _two_spike_estimators(U, spike_rows, train_scores, test_scores, estimates) -
                 "shrinkage_plugin": shrink[v],
             }
         )
-    return {
-        (name, v + 1): values[name]
-        for name in per_component[0]
-        for v, values in enumerate(per_component)
-    }
+    return {(name, v): per_component[v - 1][name] for name, v in _TWO_SPIKE_KEYS}
 
 
 def _two_spike_replicate(rng, gamma, n) -> dict:
@@ -504,9 +512,12 @@ def run_table12(
             continue
         raise ValueError(f"table12 cell gamma={gamma:g}, n={n}: {problem}")
     return _run_study(
-        "two_spike", _table12_replicate, grid, replicates, seed, workers,
-        analytic=_two_spike_analytic,
+        "two_spike", _table12_replicate, _TWO_SPIKE_KEYS, grid, replicates, seed,
+        workers, analytic=_two_spike_analytic,
     )
+
+
+_PCR_KEYS = (("mse_test_unadjusted", 1), ("mse_test_adjusted", 1), ("mse_train", 1))
 
 
 def _pcr_replicate(rng, n, g, p) -> dict:
@@ -517,15 +528,11 @@ def _pcr_replicate(rng, n, g, p) -> dict:
     s_train = predict(model, X_train).naive[0]
     coeffs = pcr_fit(s_train, y_train)
     scores = predict(model, X_test)
-    return {
-        ("mse_test_unadjusted", 1): pcr_mse(
-            y_test, pcr_predict(coeffs, scores.naive[0])
-        ),
-        ("mse_test_adjusted", 1): pcr_mse(
-            y_test, pcr_predict(coeffs, scores.adjusted[0])
-        ),
-        ("mse_train", 1): pcr_mse(y_train, pcr_predict(coeffs, s_train)),
-    }
+    return dict(zip(_PCR_KEYS, (
+        pcr_mse(y_test, pcr_predict(coeffs, scores.naive[0])),
+        pcr_mse(y_test, pcr_predict(coeffs, scores.adjusted[0])),
+        pcr_mse(y_train, pcr_predict(coeffs, s_train)),
+    )))
 
 
 def run_table3(
@@ -557,7 +564,7 @@ def run_table3(
         else:
             continue
         raise ValueError(f"table3 cell n={n}, g={g}: {problem}")
-    return _run_study("pcr", _pcr_replicate, grid, replicates, seed, workers)
+    return _run_study("pcr", _pcr_replicate, _PCR_KEYS, grid, replicates, seed, workers)
 
 
 INTRO_SCORES_HEADER = "set,stratum,pc1,pc2,pc1_adj,pc2_adj"

@@ -317,6 +317,23 @@ class TestRescale:
         assert (got, out) == (code, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "spectrum, counts",
+        [
+            # four of 50 eigenvalues ran 500 iterations to tau = 44085
+            ("40\n3\n2\n1\n", ("--p", "100", "--n", "50")),
+            ("40\n3\n2\n1\n", ("--p", "3", "--n", "50")),
+            ("40\n3\n2\n1\n", ("--p", "50", "--n", "3")),
+        ],
+    )
+    def test_spectrum_must_hold_min_p_n_values(self, capsys, tmp_path, spectrum, counts):
+        path = tmp_path / "eigs.csv"
+        path.write_text(spectrum)
+        code, out, err = run_cli(capsys, "rescale", str(path), *counts)
+        m = min(int(counts[1]), int(counts[3]))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected min(p, n) = {m} eigenvalues, got 4\n"
+
     def test_gamma_override(self, capsys, tmp_path):
         path = tmp_path / "eigs.csv"
         path.write_text("40\n3\n2\n1\n")

@@ -1,6 +1,7 @@
 """Fit/predict pipeline, jackknife, and PC regression."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spikepca import (
     SampleEigen,
     DegenerateMatrix,
     DegenerateRegressor,
+    DegenerateVariable,
     DimensionError,
     DomainError,
     NotIdentifiable,
@@ -337,22 +339,27 @@ class TestJackknifeDowndate:
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
+        """Shapes of every numpy.linalg.eigh call, wherever it is made."""
         calls = []
-        original = spikepca.model.descending_eigh
+        original = np.linalg.eigh
 
-        def counting(M):
+        def counting(M, *args, **kwargs):
             calls.append(M.shape)
-            return original(M)
+            return original(M, *args, **kwargs)
 
-        monkeypatch.setattr(spikepca.model, "descending_eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
-    @pytest.mark.parametrize("case", ["gram", "covariance", "p_is_n_minus_1"])
+    @pytest.mark.parametrize("case", ["gram", "covariance", "p_is_n_minus_1", "p_is_n"])
     def test_one_eigendecomposition_per_jackknife(self, case, eigh_calls):
+        # the full-data decomposition is also the downdate basis
         X = self.CASES[case]
-        estimate = jackknife_shrinkage(X, "center", 1)
-        assert estimate.used + estimate.excluded == X.n
-        assert len(eigh_calls) == 1
+        m = min(X.p, X.n)
+        for mode in ("none", "center"):
+            eigh_calls.clear()
+            estimate = jackknife_shrinkage(X, mode, 1)
+            assert estimate.used + estimate.excluded == X.n
+            assert eigh_calls == [(m, m)]
 
     def test_leading_count_grows_past_the_spikes(self, monkeypatch):
         ks = []
@@ -396,6 +403,44 @@ class TestJackknifeDowndate:
         value, used, excluded = refit_jackknife(X, "center_scale", 1)
         estimate = jackknife_shrinkage(X, "center_scale", 1)
         assert (estimate.value, estimate.used, estimate.excluded) == (value, used, excluded)
+        assert estimate.plugin == fit(X, "center_scale", k=1).shrinkage[0]
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize(
+        "values, component, error, message",
+        [
+            # the component is checked against min(p, n) before anything
+            # is decomposed
+            (np.random.default_rng(6).standard_normal((12, 8)), 9,
+             DimensionError, "k must be in [1, 8], got 9"),
+            (np.random.default_rng(6).standard_normal((8, 12)), 9,
+             DimensionError, "k must be in [1, 8], got 9"),
+            (np.random.default_rng(5).standard_normal((30, 20)), 2,
+             NotIdentifiable,
+             "component 2 is not a spike in the full-data fit (k_spikes=0)"),
+        ],
+    )
+    def test_component_errors_keep_their_messages(
+        self, mode, values, component, error, message
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            jackknife_shrinkage(DataMatrix(values), mode, component)
+
+    @pytest.mark.parametrize(
+        "mode, error, message",
+        [
+            ("none", DegenerateMatrix, "cannot decompose an all-zero matrix"),
+            ("center", DegenerateMatrix, "cannot decompose an all-zero matrix"),
+            ("center_scale", DegenerateVariable,
+             "variable 0 has zero variance; cannot center_scale"),
+        ],
+    )
+    def test_all_zero_matrix_raises_like_fit(self, mode, error, message):
+        X = DataMatrix(np.zeros((6, 5)) if mode == "none" else np.ones((6, 5)))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            fit(X, mode, k=1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            jackknife_shrinkage(X, mode, 1)
 
 
 class TestSpectrumFirstFit:

@@ -447,8 +447,8 @@ def raising_at(rep):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
 class TestWorkerProcesses:
-    """Replicates after the first run in forked children; at most 4 per
-    cell here, so even a broken block count forks only a few."""
+    """Replicate blocks after the first run in forked children; at most 4
+    per cell here, so even a broken block count forks only a few."""
 
     CELL = dict(gammas=(1.0,), ns=(20,), replicates=4, seed=5)
 
@@ -476,15 +476,15 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("workers", [1, 2, 5])
     @pytest.mark.parametrize("rep", [0, 1, 3])
     def test_failing_replicate_raises_as_with_one_worker(self, monkeypatch, rep, workers):
-        # at 4 cores, 5 workers split replicates 1-3 into one block each
-        # and fork two children: 0 fails before any fork, 1 in the
-        # parent's own block and 3 in a child's, which the parent then
-        # runs again
+        # at 4 cores, 5 workers split replicates 0-3 into one block each
+        # and fork three children: 0 fails in the parent's own block, and
+        # 1 and 3 in a child's at 5 workers, which the parent then runs
+        # again
         forks = self.counted_forks(monkeypatch, 4)
         monkeypatch.setattr(simulate, "_table12_replicate", raising_at(rep))
         with pytest.raises(DegenerateInput, match=rf"^replicate {rep} failed$"):
             run_table12(**self.CELL, workers=workers)
-        assert len(forks) == (0 if rep == 0 else min(workers, 3) - 1)
+        assert len(forks) == min(workers, 4) - 1
         assert_no_child()
 
     def test_without_fork_runs_serially(self, monkeypatch):
