@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._workers import block_count, fork_blocks, one_blas_thread, shared_rows
+# nothing here calls pc_scores: it stays bound for the spikepca.simulate
+# entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 2(b) retires it
 from .eigen import pc_scores, project, sample_eigen
 from .errors import (
     DegenerateInput,
@@ -115,8 +117,8 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
     the spikes sit exactly at s1 and s2 and the leading population
     eigenvectors are the first two coordinate axes.
     """
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     if n < 4:
         raise DimensionError(f"need n >= 4, got {n}")
     p = _two_spike_p(gamma, n)
@@ -141,22 +143,30 @@ def _two_spike_proxy(rng: np.random.Generator, gamma: float, n: int) -> np.ndarr
     Rotating the p - 2 noise coordinates of the p x 2n draw by the Q of
     their QR decomposition keeps the two spike rows and the Gram matrix,
     so it changes no sign- and rotation-invariant estimator, and leaves
-    a 2n x 2n upper-triangular noise block R with R^T R ~ 4 Wishart_2n(
-    p - 2, I). Bartlett's decomposition draws R = 2 L^T directly: L is
-    lower triangular with N(0, 1) entries below the diagonal and
-    sqrt(chi^2_{p-2-i}) on diagonal entry i, the chi-square variates by
-    inverse CDF of the 53-bit uniforms. Returns the (2n + 2) x 2n matrix
-    [spike rows; R], train samples first. Needs p - 2 >= 2n.
+    an r x 2n upper-trapezoidal noise block R, r = min(p - 2, 2n). Its
+    first r columns are the triangular Bartlett factor of 4 Wishart_r(
+    p - 2, I) (Bartlett 1933), and, as Q depends on those columns alone,
+    the rest are iid N(0, 4). So R = 2 L^T is drawn directly: L is 2n x r
+    with N(0, 1) entries below the diagonal and sqrt(chi^2_{p-2-i}) on
+    diagonal entry i, the chi-square variates by inverse CDF of the
+    53-bit uniforms. Returns the (r + 2) x 2n matrix [spike rows; R],
+    train samples first.
     """
     from scipy.special import chdtri
 
     p, m = _two_spike_p(gamma, n), 2 * n
-    rows = 2.0 * standard_normal(rng, (2, m))
-    rows *= np.sqrt(two_spike_eigenvalues(gamma))[:, None]
-    L = np.zeros((m, m))
-    L[np.tril_indices(m, -1)] = standard_normal(rng, m * (m - 1) // 2)
-    L[np.diag_indices(m)] = np.sqrt(chdtri(p - 2 - np.arange(m), _uniform(rng, m)))
-    return np.vstack([rows, 2.0 * L.T])
+    r = min(p - 2, m)
+    X = np.zeros((r + 2, m))
+    X[:2] = 2.0 * standard_normal(rng, (2, m))
+    X[:2] *= np.sqrt(two_spike_eigenvalues(gamma))[:, None]
+    # L is a view of R, filled in place; a boolean mask takes its values
+    # in L's row-major order
+    L = X[2:].T
+    below = np.tri(m, r, -1, dtype=bool)
+    L[below] = standard_normal(rng, np.count_nonzero(below))
+    L[np.diag_indices(r)] = np.sqrt(chdtri(p - 2 - np.arange(r), _uniform(rng, r)))
+    X[2:] *= 2.0
+    return X
 
 
 def two_spike_eigenvalues(gamma: float) -> tuple[float, float]:
@@ -434,37 +444,16 @@ def _two_spike_estimators(U, spike_rows, train_scores, test_scores, estimates) -
 
 
 def _two_spike_replicate(rng, gamma, n) -> dict:
-    """Tables 1-2 estimators from one train/test draw of the two-spike design."""
-    train = gen_two_spike(n, gamma, rng)
-    test = gen_two_spike(n, gamma, rng)
-    model = fit(train, mode="none", k=2)
-    return _two_spike_estimators(
-        model.eig.U,
-        train.values,
-        pc_scores(train, model.eig),
-        predict(model, test).naive,
-        (model.shrinkage, model.score_corr, model.evec_angle, model.identifiable),
-    )
-
-
-def _reduced_two_spike_replicate(rng, gamma, n) -> dict:
-    """The estimators of _two_spike_replicate, from _two_spike_proxy's draw."""
+    """Tables 1-2 estimators from one rotated train/test draw (_two_spike_proxy)."""
     X = _two_spike_proxy(rng, gamma, n)
     train, test = X[:, :n], X[:, n:]
     eig = sample_eigen(DataMatrix(train), 2)
-    # the proxy has 2n + 2 rows, so rescale with the design's own p
+    # the proxy has at most 2n + 2 rows, so rescale with the design's own p
     spectrum = rescale_eigenvalues(eig.d, _two_spike_p(gamma, n), n)
     return _two_spike_estimators(
         eig.U, train, project(eig.U, train), project(eig.U, test),
         component_estimates(spectrum, 2),
     )
-
-
-def _table12_replicate(rng, gamma, n) -> dict:
-    """The reduced replicate where Bartlett applies (p - 2 >= 2n), else the direct."""
-    if _two_spike_p(gamma, n) - 2 >= 2 * n:
-        return _reduced_two_spike_replicate(rng, gamma, n)
-    return _two_spike_replicate(rng, gamma, n)
 
 
 _TWO_SPIKE_LIMITS = {
@@ -492,12 +481,12 @@ def run_table12(
     on the train set (raw second moments, two retained components), and
     record the empirical and plug-in estimators next to their analytic
     values. Replicates where a component is classified as noise
-    contribute no plug-in value (the `used` count reflects it). Cells
-    with p - 2 >= 2n draw the rotated data of _two_spike_proxy instead
-    of the p x n matrices. Raises ValueError for a cell gen_two_spike
-    would reject, before any draw. ``workers`` processes share each
-    cell's replicates (see _run_study); the report is the same at any
-    count.
+    contribute no plug-in value (the `used` count reflects it). Each
+    replicate draws the rotated data of _two_spike_proxy instead of the
+    p x n matrices. Raises ValueError for a cell gen_two_spike would
+    reject, or whose p exceeds 2**53, before any draw. ``workers``
+    processes share each cell's replicates (see _run_study); the report
+    is the same at any count.
     """
     grid = [{"gamma": float(gamma), "n": int(n)} for gamma in gammas for n in ns]
     for cell in grid:
@@ -506,13 +495,14 @@ def run_table12(
             problem = "gamma must be positive and finite"
         elif n < 4:
             problem = "need n >= 4"
-        elif not (math.isfinite(gamma * n) and _two_spike_p(gamma, n) >= 3):
-            problem = "gamma * n must round to a finite p >= 3"
+        elif not (math.isfinite(gamma * n) and 3 <= _two_spike_p(gamma, n) <= 2**53):
+            # rescaling takes p as a double, which holds every integer up to 2**53
+            problem = "gamma * n must round to a finite p in [3, 2**53]"
         else:
             continue
         raise ValueError(f"table12 cell gamma={gamma:g}, n={n}: {problem}")
     return _run_study(
-        "two_spike", _table12_replicate, _TWO_SPIKE_KEYS, grid, replicates, seed,
+        "two_spike", _two_spike_replicate, _TWO_SPIKE_KEYS, grid, replicates, seed,
         workers, analytic=_two_spike_analytic,
     )
 

@@ -15,6 +15,7 @@ from spikepca import DataMatrix, gen_two_spike, write_matrix
 from spikepca._workers import _openblas_threads
 import spikepca.cli
 import spikepca.model
+import spikepca.simulate
 from spikepca.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -481,8 +482,15 @@ class TestSimulate:
         (("table3", "--p", "10", "--cell", "10:20"),
          "table3 cell n=10, g=20: g must satisfy 1 <= g < p=10"),
         (("table3", "--cell", "11:20"), "table3 cell n=11, g=20: n must be even"),
+        # rescaling holds p as a double, exact up to 2**53
+        (("table12", "--gamma", "1e300", "--n", "10"),
+         "table12 cell gamma=1e+300, n=10: gamma * n must round to a finite p in [3, 2**53]"),
+        (("table12", "--gamma", "1e17", "--n", "10"),
+         "table12 cell gamma=1e+17, n=10: gamma * n must round to a finite p in [3, 2**53]"),
     ])
-    def test_invalid_cell_exits_2(self, capsys, argv, message):
+    def test_invalid_cell_exits_2(self, capsys, monkeypatch, argv, message):
+        # every cell is checked before the study draws anything
+        monkeypatch.setattr(spikepca.simulate, "_run_study", None)
         code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

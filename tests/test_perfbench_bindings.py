@@ -42,7 +42,7 @@ sys.exit(rc)
 """
 
 
-def test_traced_table12_nests_fits_under_replicates(tmp_path):
+def test_traced_table12_nests_draws_under_replicates(tmp_path):
     # the CLI must reach run_table12 through the module, where the tracer
     # wraps it; a name bound at import time would skip the wrapper
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -57,7 +57,9 @@ def test_traced_table12_nests_fits_under_replicates(tmp_path):
     assert result.returncode == 0, result.stderr
     spans = json.loads(spans_path.read_text())
     replicates = [s["id"] for s in spans if s["layer"] == "simulate.replicates"]
-    fits = [s for s in spans if s["name"] == "simulate.fit"]
+    # two replicates of two standard_normal draws each: the spike rows
+    # and the noise block
+    draws = [s for s in spans if s["layer"] == "simulate.rng"]
     assert len(replicates) == 1
-    assert len(fits) == 2
-    assert all(s["parent"] == replicates[0] for s in fits)
+    assert len(draws) == 4
+    assert all(s["parent"] == replicates[0] for s in draws)

@@ -18,9 +18,11 @@ from spikepca import (
     gen_intro,
     gen_pcr,
     gen_two_spike,
+    pc_scores,
     pcr_fit,
     pcr_mse,
     pcr_predict,
+    predict,
     run_intro,
     run_table3,
     run_table12,
@@ -29,13 +31,27 @@ from spikepca import (
 from spikepca import _workers, simulate
 from spikepca.simulate import (
     INTRO_SCORES_HEADER,
-    _reduced_two_spike_replicate,
     _stratum_means,
+    _two_spike_estimators,
     _two_spike_proxy,
     _two_spike_replicate,
     standard_normal,
     substream,
 )
+
+
+def direct_two_spike_replicate(rng, gamma, n) -> dict:
+    """The Tables 1-2 estimators of a gen_two_spike train/test pair, the
+    oracle of the rotated draw _two_spike_replicate makes."""
+    train, test = gen_two_spike(n, gamma, rng), gen_two_spike(n, gamma, rng)
+    model = fit(train, mode="none", k=2)
+    return _two_spike_estimators(
+        model.eig.U,
+        train.values,
+        pc_scores(train, model.eig),
+        predict(model, test).naive,
+        (model.shrinkage, model.score_corr, model.evec_angle, model.identifiable),
+    )
 
 
 class TestRng:
@@ -58,24 +74,28 @@ class TestRng:
         assert np.isfinite(z).all()
 
     def test_proxy_noise_gram_has_wishart_moments(self):
-        # gamma=2.5, n=4: p=10, so the 8 x 8 noise Gram W = R^T R / 4 of the
-        # proxy should be Wishart_8(8, I): E[W] = 8 I, Var(W_ii) = 2 * 8 and
-        # Var(W_ij) = 8 off the diagonal. Over N draws the entry means have
-        # standard error sqrt(Var / N); a chi^2_8 sample variance has
-        # standard error sqrt((8 * 8^2 + 48 * 8) / N).
-        dof, dim, N = 8, 8, 20_000
-        rng = substream(3, 0, 0, 0)
-        W = np.empty((N, dim, dim))
-        for i in range(N):
-            X = _two_spike_proxy(rng, 2.5, 4)
-            assert X.shape == (dim + 2, dim)
-            assert (np.tril(X[2:], -1) == 0).all()
-            W[i] = X[2:].T @ X[2:] / 4
-        var = np.where(np.eye(dim) == 1, 2.0 * dof, float(dof))
-        assert (np.abs(W.mean(axis=0) - dof * np.eye(dim)) < 4 * np.sqrt(var / N)).all()
-        diag_var = W[:, range(dim), range(dim)].var(axis=0)
-        diag_se = math.sqrt((8 * dof**2 + 48 * dof) / N)
-        assert (np.abs(diag_var - 2 * dof) < 4 * diag_se).all()
+        # n=4: the 8 x 8 noise Gram W = R^T R / 4 of the proxy should be
+        # Wishart_8(dof, I), dof = p - 2, with a triangular R at gamma=2.5
+        # (p=10) and a 4 x 8 trapezoidal one at gamma=1.5 (p=6): E[W] =
+        # dof I, Var(W_ii) = 2 dof and Var(W_ij) = dof off the diagonal.
+        # Over N draws the entry means have standard error sqrt(Var / N);
+        # a chi^2_dof sample variance has standard error
+        # sqrt((8 dof^2 + 48 dof) / N).
+        dim, N = 8, 20_000
+        for gamma, dof in ((2.5, 8), (1.5, 4)):
+            rng = substream(3, 0, 0, 0)
+            W = np.empty((N, dim, dim))
+            for i in range(N):
+                X = _two_spike_proxy(rng, gamma, 4)
+                assert X.shape == (dof + 2, dim)
+                assert (np.tril(X[2:], -1) == 0).all()
+                W[i] = X[2:].T @ X[2:] / 4
+            var = np.where(np.eye(dim) == 1, 2.0 * dof, float(dof))
+            mean_err = np.abs(W.mean(axis=0) - dof * np.eye(dim))
+            assert (mean_err < 4 * np.sqrt(var / N)).all(), gamma
+            diag_var = W[:, range(dim), range(dim)].var(axis=0)
+            diag_se = math.sqrt((8 * dof**2 + 48 * dof) / N)
+            assert (np.abs(diag_var - 2 * dof) < 4 * diag_se).all(), gamma
 
 
 class TestGenIntro:
@@ -133,6 +153,11 @@ class TestGenTwoSpike:
     def test_gamma_zero_rejected(self):
         with pytest.raises(DomainError):
             gen_two_spike(100, 0.0, seed=0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma_not_positive_and_finite_rejected(self, gamma):
+        with pytest.raises(DomainError, match="gamma must be positive and finite"):
+            gen_two_spike(100, gamma, seed=0)
 
     def test_tiny_p_rejected(self):
         with pytest.raises(DimensionError):
@@ -239,7 +264,8 @@ class TestDrivers:
             assert sd == 0.0
             assert used <= 1
 
-    # gamma=1 cells take the direct draw, gamma=20 cells the reduced one
+    # gamma=1 cells draw a trapezoidal noise block, gamma=20 cells a
+    # triangular one
     def test_report_reproducible(self):
         a = run_table12(gammas=(1.0, 20.0), ns=(100,), replicates=3, seed=5).to_csv()
         b = run_table12(gammas=(1.0, 20.0), ns=(100,), replicates=3, seed=5).to_csv()
@@ -259,64 +285,65 @@ class TestDrivers:
             reports = [study(workers).to_csv() for workers in (1, 2, 5)]
             assert reports[1:] == reports[:1] * 2
 
-    @pytest.mark.parametrize("p, direct", [(21, True), (22, False)])
-    def test_table12_draw_follows_bartlett_rule(self, monkeypatch, p, direct):
-        # Bartlett's decomposition needs p - 2 >= 2n: at n=10, p=21 is one
-        # short and draws directly, p=22 takes the reduced draw
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return gen_two_spike(*args, **kwargs)
-
-        monkeypatch.setattr(simulate, "gen_two_spike", counting)
-        report = run_table12(gammas=(p / 10,), ns=(10,), replicates=2, seed=5)
-        assert len(calls) == (4 if direct else 0)
-        assert [c.gamma for c in report.cells] == [p / 10] * 12
+    @pytest.mark.parametrize("p", [10, 21, 22])
+    def test_proxy_shape_follows_bartlett_rule(self, p):
+        # at n=10 the noise block has min(p - 2, 2n) rows: p=10 and p=21
+        # (one short of p - 2 = 2n) are trapezoidal, p=22 is triangular
+        n = 10
+        X = _two_spike_proxy(substream(5, 1, 0, 0), p / n, n)
+        assert X.shape == (min(p - 2, 2 * n) + 2, 2 * n)
+        assert (np.tril(X[2:], -1) == 0).all()
+        assert np.isfinite(X).all()
 
     def test_reduced_replicate_is_direct_replicate_rotated(self, monkeypatch):
-        # Feed both replicates one direct draw: the reduced one sees its
-        # spike rows and the R of the QR decomposition of its noise rows.
-        # Every estimator is rotation invariant, so they must agree.
-        n, gamma = 10, 20.0
-        rng = substream(4, 1, 0, 0)
-        train, test = gen_two_spike(n, gamma, rng), gen_two_spike(n, gamma, rng)
-        joint = np.hstack([train.values, test.values])
-        proxy = np.vstack([joint[:2], np.linalg.qr(joint[2:], mode="r")])
-        draws = iter([train, test])
-        monkeypatch.setattr(simulate, "gen_two_spike", lambda *args: next(draws))
-        monkeypatch.setattr(simulate, "_two_spike_proxy", lambda *args: proxy)
-        direct = _two_spike_replicate(None, gamma, n)
-        reduced = _reduced_two_spike_replicate(None, gamma, n)
-        assert reduced.keys() == direct.keys()
-        for key, value in direct.items():
-            assert reduced[key] == pytest.approx(value, rel=1e-9, nan_ok=True), key
+        # Feed the replicate the spike rows of a direct draw and the R of
+        # the QR decomposition of its noise rows, triangular at gamma=20
+        # and trapezoidal at gamma=1. Every estimator is rotation
+        # invariant, so it must agree with the direct oracle on that draw.
+        n = 10
+        for gamma in (20.0, 1.0):
+            rng = substream(4, 1, 0, 0)
+            train, test = gen_two_spike(n, gamma, rng), gen_two_spike(n, gamma, rng)
+            joint = np.hstack([train.values, test.values])
+            proxy = np.vstack([joint[:2], np.linalg.qr(joint[2:], mode="r")])
+            monkeypatch.setattr(simulate, "_two_spike_proxy", lambda *args: proxy)
+            direct = direct_two_spike_replicate(substream(4, 1, 0, 0), gamma, n)
+            reduced = _two_spike_replicate(None, gamma, n)
+            assert reduced.keys() == direct.keys()
+            for key, value in direct.items():
+                assert reduced[key] == pytest.approx(value, rel=1e-9, nan_ok=True), (
+                    gamma, key
+                )
 
     def test_reduced_replicate_matches_direct(self):
         # Two independent samples, one per draw, of every estimator at
-        # gamma=20, n=10 (p=200). Identical distributions give |z| <= 4 for
+        # n=10, gamma=20 (p=200, triangular noise block) and gamma=1
+        # (p=10, trapezoidal). Identical distributions give |z| <= 4 for
         # the mean difference and an SD ratio in [0.8, 1.25] here; larger n
         # makes the angle estimators heavy-tailed (rare swaps of the two
         # spike components), which puts the SD ratio of 1000-rep samples
-        # outside that range often even when the draws agree.
+        # outside that range often even when the draws agree. Below
+        # gamma=1 at n=10, component 2 is almost never a spike.
         reps = 1000
-        direct = [
-            _two_spike_replicate(substream(21, 1, 0, r), 20.0, 10) for r in range(reps)
-        ]
-        reduced = [
-            _reduced_two_spike_replicate(substream(22, 1, 0, r), 20.0, 10)
-            for r in range(reps)
-        ]
-        assert direct[0].keys() == reduced[0].keys()
         problems = []
-        for key in direct[0]:
-            a = np.array([r[key] for r in direct])
-            b = np.array([r[key] for r in reduced])
-            a, b = a[~np.isnan(a)], b[~np.isnan(b)]
-            z = (b.mean() - a.mean()) / math.sqrt(a.var() / a.size + b.var() / b.size)
-            ratio = b.std() / a.std()
-            if not (abs(z) <= 4 and 0.8 <= ratio <= 1.25):
-                problems.append((key, z, ratio))
+        for gamma in (20.0, 1.0):
+            direct = [
+                direct_two_spike_replicate(substream(21, 1, 0, r), gamma, 10)
+                for r in range(reps)
+            ]
+            reduced = [
+                _two_spike_replicate(substream(22, 1, 0, r), gamma, 10)
+                for r in range(reps)
+            ]
+            assert direct[0].keys() == reduced[0].keys()
+            for key in direct[0]:
+                a = np.array([r[key] for r in direct])
+                b = np.array([r[key] for r in reduced])
+                a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+                z = (b.mean() - a.mean()) / math.sqrt(a.var() / a.size + b.var() / b.size)
+                ratio = b.std() / a.std()
+                if not (abs(z) <= 4 and 0.8 <= ratio <= 1.25):
+                    problems.append((gamma, key, z, ratio))
         assert problems == []
 
     def test_table12_estimates_in_range(self):
@@ -433,8 +460,8 @@ def assert_no_child():
 
 
 def raising_at(rep):
-    """_table12_replicate, raising DegenerateInput at replicate `rep`."""
-    replicate = simulate._table12_replicate
+    """_two_spike_replicate, raising DegenerateInput at replicate `rep`."""
+    replicate = simulate._two_spike_replicate
 
     def raising(rng, **cell):
         # substream's key ends in the 16-bit replicate number
@@ -481,7 +508,7 @@ class TestWorkerProcesses:
         # 1 and 3 in a child's at 5 workers, which the parent then runs
         # again
         forks = self.counted_forks(monkeypatch, 4)
-        monkeypatch.setattr(simulate, "_table12_replicate", raising_at(rep))
+        monkeypatch.setattr(simulate, "_two_spike_replicate", raising_at(rep))
         with pytest.raises(DegenerateInput, match=rf"^replicate {rep} failed$"):
             run_table12(**self.CELL, workers=workers)
         assert len(forks) == min(workers, 4) - 1
@@ -505,14 +532,14 @@ class TestWorkerProcesses:
                     reason="numpy carries no OpenBLAS thread hook")
 def test_replicates_run_at_one_blas_thread(monkeypatch):
     get, set_ = _workers._openblas_threads()
-    replicate = simulate._table12_replicate
+    replicate = simulate._two_spike_replicate
     seen = []
 
     def recording(rng, **cell):
         seen.append(get())
         return replicate(rng, **cell)
 
-    monkeypatch.setattr(simulate, "_table12_replicate", recording)
+    monkeypatch.setattr(simulate, "_two_spike_replicate", recording)
     previous = get()
     set_(2)
     try:
