@@ -1,7 +1,8 @@
-"""Forked row blocks and the one-BLAS-thread scope.
+"""Forked row blocks at one BLAS thread: the package's one fan-out.
 
-The CSV parse and the simulation replicates both split independent rows
-into contiguous blocks and hand all but the first to children made with
+The CSV parse and the simulation replicates both fill the rows of one
+float64 array independently of each other. fill_rows splits the rows
+into contiguous blocks and hands all but the first to children made with
 os.fork, each writing its rows into one shared buffer. Their work holds
 the GIL, so threads would not overlap it.
 """
@@ -18,57 +19,57 @@ from pathlib import Path
 import numpy as np
 
 
-def block_count(limit: int) -> int:
-    """Row blocks to split work into: at most one per usable core and at
-    most ``limit``; one where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(cores, limit)
+def fill_rows(rows: int, width: int, limit: int, work) -> np.ndarray | None:
+    """A rows x width float64 array whose row blocks ``work(out, lo, hi)`` fill.
 
+    The rows split into max(min(limit, rows, usable cores), 1) contiguous
+    blocks, or one where os.fork is missing. Every block but the first
+    goes to a forked child, the last block first, so the rows left to the
+    parent when a fork fails are always one leading run, which the parent
+    then works itself. The array is built on an anonymous shared mapping,
+    so what a child writes the parent reads. A child leaves through
+    os._exit, with status 0 only if its work returned True; once every
+    child is reaped, the parent works each failed child's block again, in
+    row order, so an exception surfaces as it does in one block. Returns
+    None if the parent's own block or a block worked again returns False.
 
-def shared_rows(rows: int, width: int) -> np.ndarray:
-    """A rows x width float64 array on an anonymous shared mapping, so
-    what a forked child writes into it the parent reads."""
-    buffer = mmap.mmap(-1, rows * width * 8)
-    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, width)
-
-
-def fork_blocks(bounds: list, work) -> list | None:
-    """Run ``work(lo, hi) -> bool`` over the blocks [bounds[i], bounds[i + 1]).
-
-    Every block but the first goes to a forked child, the last block
-    first, so the rows left to the parent when a fork fails are always
-    one leading run, which the parent then works itself. A child leaves
-    through os._exit, with status 0 only if its work returned True.
-    Returns the (lo, hi) runs whose work failed, in row order, or None
-    when no child could be forked and the parent has run nothing. Every
-    child is reaped before this returns or raises.
+    Everything runs with BLAS at one thread (one_blas_thread): forked
+    blocks do not contend with a multithreaded BLAS, and the result does
+    not depend on the block count.
     """
-    children, own = [], bounds[-1]
-    try:
-        for lo, hi in reversed(list(zip(bounds[1:-1], bounds[2:]))):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                status = 1
+    out = np.frombuffer(mmap.mmap(-1, rows * width * 8), dtype=np.float64)
+    out = out.reshape(rows, width)
+    blocks = 1
+    if hasattr(os, "fork"):
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        blocks = max(min(limit, rows, cores), 1)
+    bounds = [rows * b // blocks for b in range(blocks + 1)]
+    children, own = [], rows
+    with one_blas_thread():
+        try:
+            for lo, hi in reversed(list(zip(bounds[1:-1], bounds[2:]))):
                 try:
-                    status = 0 if work(lo, hi) else 1
-                finally:
-                    os._exit(status)
-            children.append((pid, lo, hi))
-            own = lo
-        if not children:
-            return None
-        failed = [] if work(bounds[0], own) else [(bounds[0], own)]
-    finally:
-        statuses = [(os.waitpid(pid, 0)[1], lo, hi) for pid, lo, hi in children]
-    return failed + [(lo, hi) for status, lo, hi in reversed(statuses) if status]
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:
+                    status = 1
+                    try:
+                        status = 0 if work(out, lo, hi) else 1
+                    finally:
+                        os._exit(status)
+                children.append((pid, lo, hi))
+                own = lo
+            done = work(out, 0, own)
+        finally:
+            statuses = [(os.waitpid(pid, 0)[1], lo, hi) for pid, lo, hi in children]
+        failed = [(lo, hi) for status, lo, hi in reversed(statuses) if status]
+        if done and all(work(out, lo, hi) for lo, hi in failed):
+            return out
+    return None
 
 
 @functools.cache

@@ -317,7 +317,8 @@ def main(argv=None) -> int:
     except SpikePcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # an allocation that fails means the input is too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._workers import block_count, fork_blocks, shared_rows
+from ._workers import fill_rows
 from .errors import (
     DegenerateVariable,
     DimensionError,
@@ -189,41 +189,28 @@ def _parse_clean(lines: list) -> np.ndarray | None:
     on anything else (a ragged row, a bad or non-finite cell), leaving
     the scanner to parse the file or report the first bad cell.
 
-    np.loadtxt holds the GIL, so a large file is converted in row blocks
-    by forked children, each writing its rows into one shared buffer
-    that the result is built on; the parent converts the first block.
-    Each cell is converted alone, so the blocks give the single call's
-    doubles. Where os.fork is missing or fails, one call converts all.
+    np.loadtxt holds the GIL, so a large file is converted in forked row
+    blocks (fill_rows), one per SPLIT_CELLS cells and at most one per
+    usable core, each written into the buffer that the result is built
+    on; the parent converts the first block, and again any block whose
+    child fails. Each cell is converted alone, so the blocks give the
+    single call's doubles.
     """
     m, width = len(lines), lines[0].count(",") + 1
-    blocks = block_count(min(m * width // SPLIT_CELLS, m))
-    if blocks < 2:
-        return _convert(lines)
-    out = shared_rows(m, width)
-    failed = fork_blocks(
-        [m * b // blocks for b in range(blocks + 1)],
-        lambda lo, hi: _convert_into(lines[lo:hi], out[lo:hi]),
+    return fill_rows(
+        m, width, m * width // SPLIT_CELLS,
+        lambda out, lo, hi: _convert_into(lines[lo:hi], out[lo:hi]),
     )
-    if failed is None:
-        return _convert(lines)
-    return None if failed else out
-
-
-def _convert(lines: list) -> np.ndarray | None:
-    """One np.loadtxt call over data rows; None unless every row has the
-    first's width and every cell is a finite number."""
-    try:
-        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return arr if np.isfinite(arr).all() else None
 
 
 def _convert_into(lines: list, out: np.ndarray) -> bool:
-    """Convert one row block into its rows of the shared buffer; False
-    if it does not convert or its width is not the file's."""
-    arr = _convert(lines)
-    if arr is None or arr.shape != out.shape:
+    """One np.loadtxt call over data rows, copied into ``out``; False
+    unless the rows fill out's shape and every cell is a finite number."""
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return False
+    if arr.shape != out.shape or not np.isfinite(arr).all():
         return False
     out[...] = arr
     return True

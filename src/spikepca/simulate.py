@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._workers import block_count, fork_blocks, one_blas_thread, shared_rows
+from ._workers import fill_rows, one_blas_thread
 # nothing here calls pc_scores: it stays bound for the spikepca.simulate
 # entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 2(b) retires it
 from .eigen import pc_scores, project, sample_eigen
@@ -121,9 +121,9 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
     if n < 4:
         raise DimensionError(f"need n >= 4, got {n}")
+    if not (math.isfinite(gamma * n) and 3 <= _two_spike_p(gamma, n) <= 2**53):
+        raise DimensionError(f"gamma * n = {gamma * n:g} must round to a p in [3, 2**53]")
     p = _two_spike_p(gamma, n)
-    if p < 3:
-        raise DimensionError(f"gamma * n rounds to p={p} < 3")
     rng = _as_rng(seed, "two_spike")
     spike1, spike2 = two_spike_eigenvalues(gamma)
     X = 2.0 * standard_normal(rng, (p, n))
@@ -325,9 +325,10 @@ def _run_study(design, replicate, keys, cells, replicates, seed, workers, analyt
     order; a cell's gamma, n and g label its rows, and
     ``analytic(estimator, component, gamma)`` gives the reference.
 
-    Every replicate runs with BLAS at one thread, so the report does not
-    depend on the BLAS thread count either, and ``workers`` processes
-    share each cell's replicates (_replicate_values).
+    ``workers`` processes share each cell's replicates, which run with
+    BLAS at one thread (fill_rows), so the report does not depend on the
+    BLAS thread count either. A replicate that raises in a worker is run
+    again in this process, so it raises as it does with one worker.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -338,58 +339,33 @@ def _run_study(design, replicate, keys, cells, replicates, seed, workers, analyt
         raise ValueError("workers must be >= 1")
     design_id = _DESIGN_IDS[design]
     rows = []
-    with one_blas_thread():
-        for index, cell in enumerate(cells):
-            values = _replicate_values(
-                lambda rep: replicate(substream(seed, design_id, index, rep), **cell),
-                keys,
-                replicates,
-                workers,
-            )
-            for (estimator, component), column in zip(keys, values.T):
-                rows.append(
-                    EstimatorCell(
-                        design=design,
-                        estimator=estimator,
-                        component=component,
-                        gamma=cell.get("gamma"),
-                        n=cell["n"],
-                        g=cell.get("g"),
-                        analytic=None
-                        if analytic is None
-                        else analytic(estimator, component, cell["gamma"]),
-                        values=tuple(column.tolist()),
-                    )
+    for index, cell in enumerate(cells):
+
+        def fill(values, lo, hi):
+            for rep in range(lo, hi):
+                result = replicate(substream(seed, design_id, index, rep), **cell)
+                values[rep] = [result[key] for key in keys]
+            return True
+
+        values = fill_rows(replicates, len(keys), workers, fill)
+        for (estimator, component), column in zip(keys, values.T):
+            rows.append(
+                EstimatorCell(
+                    design=design,
+                    estimator=estimator,
+                    component=component,
+                    gamma=cell.get("gamma"),
+                    n=cell["n"],
+                    g=cell.get("g"),
+                    analytic=None
+                    if analytic is None
+                    else analytic(estimator, component, cell["gamma"]),
+                    values=tuple(column.tolist()),
                 )
+            )
     return SimulationReport(
         design=design, seed=seed, replicates=replicates, cells=tuple(rows)
     )
-
-
-def _replicate_values(draw, keys, replicates, workers):
-    """A replicates x keys array of the values ``draw(rep)`` gives for ``keys``.
-
-    The replicates are split into contiguous blocks, at most one per
-    worker and per usable core, and every block but the first goes to a
-    forked child that writes its rows of the shared array. A block whose
-    child fails is drawn again here, so an exception surfaces as it does
-    with one worker; so is every replicate when no child can be forked.
-    """
-    values = shared_rows(replicates, len(keys))
-
-    def fill(lo, hi):
-        for rep in range(lo, hi):
-            result = draw(rep)
-            values[rep] = [result[key] for key in keys]
-        return True
-
-    blocks = block_count(min(workers, replicates))
-    failed = None
-    if blocks > 1:
-        failed = fork_blocks([replicates * b // blocks for b in range(blocks + 1)], fill)
-    for lo, hi in [(0, replicates)] if failed is None else failed:
-        fill(lo, hi)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +544,15 @@ def run_intro(
     Fits two components on the raw training matrix, records the plug-in
     shrinkage estimates and the test/train RMS score ratios, and dumps
     all four score sets (train/test x naive/adjusted) as CSV for
-    plotting.
+    plotting. The fit and predictions run with BLAS at one thread, so the
+    output does not depend on the BLAS thread count.
     """
     rng = substream(seed, _DESIGN_IDS["intro"], 0, 0)
     train, test, labels = gen_intro(n_per_stratum, p, rng)
-    model = fit(train, mode="none", k=2)
-    train_pred = predict(model, train)
-    test_pred = predict(model, test)
+    with one_blas_thread():
+        model = fit(train, mode="none", k=2)
+        train_pred = predict(model, train)
+        test_pred = predict(model, test)
 
     cells = []
     for v in range(2):

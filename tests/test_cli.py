@@ -510,6 +510,22 @@ class TestSimulate:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch):
+        # an input too large to allocate is an input error; the generator
+        # is stubbed, as a real allocation may succeed under memory
+        # overcommit and then exhaust the machine when filled
+        message = "Unable to allocate 291. TiB for an array"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(spikepca.simulate, "gen_pcr", too_large)
+        code, out, err = run_cli(
+            capsys, "simulate", "table3", "--seed", "1", "--cell", "4:1",
+            "--p", "1000", "--replicates", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_malformed_cell_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "table3", "--cell", "100", "--seed", "1"
@@ -626,8 +642,8 @@ class TestColdStart:
 
 
 class TestBlasThreadCount:
-    """predict, jackknife and simulate print the same bytes at 1 and 2 BLAS
-    threads."""
+    """predict, jackknife and simulate (intro's score dump included) print
+    the same bytes at 1 and 2 BLAS threads."""
 
     @staticmethod
     def spikepca(threads, *argv):
@@ -669,6 +685,19 @@ class TestBlasThreadCount:
     def test_stdout_is_byte_identical(self, files, argv):
         argv = [a.format(**files) for a in argv]
         assert self.spikepca(1, *argv) == self.spikepca(2, *argv)
+
+    @pytest.mark.skipif(_openblas_threads() is None,
+                        reason="numpy carries no OpenBLAS thread hook")
+    def test_intro_report_and_scores_are_byte_identical(self, tmp_path):
+        # the fit and predictions run at one BLAS thread; at 2 threads the
+        # 5000 x 100 fit rounds apart in the 17th digit on this seed
+        outputs = []
+        for threads in (1, 2):
+            scores = tmp_path / f"scores{threads}.csv"
+            report = self.spikepca(threads, "simulate", "intro", "--seed", "1",
+                                   "--scores-out", scores)
+            outputs.append((report, scores.read_bytes()))
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.skipif(_openblas_threads() is None,
                         reason="numpy carries no OpenBLAS thread hook")

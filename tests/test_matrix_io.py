@@ -528,14 +528,16 @@ class TestSplitParse:
 
     def test_interrupt_in_child_exits_it(self, tmp_path, monkeypatch):
         # the child leaves through os._exit, never back into the caller;
-        # its failed block sends the file to the scanner
+        # the parent converts its failed block again, so the scanner never runs
         parent = os.getpid()
         split_into(monkeypatch, 2)
         loadtxt = np.loadtxt
+        calls = []
 
         def interrupted(lines, *args, **kwargs):
             if os.getpid() != parent:
                 raise KeyboardInterrupt
+            calls.append(len(lines))
             return loadtxt(lines, *args, **kwargs)
 
         scans = []
@@ -547,7 +549,9 @@ class TestSplitParse:
         monkeypatch.setattr(np, "loadtxt", interrupted)
         monkeypatch.setattr("spikepca.matrix_io._scan_csv", scan)
         assert_parses_like_scanner(self.write(tmp_path, self.CLEAN))
-        assert scans == [7]
+        # rows 0-2 are the parent's own block, rows 3-6 the child's
+        assert calls == [3, 4]
+        assert scans == []
         assert_no_child()
 
 

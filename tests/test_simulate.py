@@ -163,6 +163,13 @@ class TestGenTwoSpike:
         with pytest.raises(DimensionError):
             gen_two_spike(100, 0.01, seed=0)
 
+    @pytest.mark.parametrize("gamma", [1e300, 1e15, 1e14, 1.7e308])
+    def test_p_past_2_53_rejected(self, gamma):
+        # p is checked before the p x n draw is allocated; rescaling takes
+        # p as a double, which holds every integer up to 2**53
+        with pytest.raises(DimensionError, match=r"must round to a p in \[3, 2\*\*53\]"):
+            gen_two_spike(100, gamma, seed=0)
+
 
 class TestGenPcr:
     def test_group_means_of_outcome(self):
