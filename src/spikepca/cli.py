@@ -15,15 +15,8 @@ import numpy as np
 
 from . import simulate
 from .errors import INPUT_ERRORS, DimensionError, DomainError, ParseError, SpikePcaError
-from .matrix_io import (
-    DataMatrix,
-    _csv,
-    _fmt,
-    _parse_csv,
-    read_model,
-    write_model,
-)
-from .model import fit, jackknife_shrinkage, predict
+from .matrix_io import DataMatrix, _csv, _fmt, _parse_csv
+from .model import fit, jackknife_shrinkage, predict, read_model, write_model
 from .spiked import rescale_eigenvalues
 
 _MODE_CHOICES = {"none": "none", "center": "center", "center-scale": "center_scale"}

@@ -1,9 +1,10 @@
-"""CSV ingestion, row standardization, and model persistence.
+"""CSV ingestion, row standardization, and the package's text encoder.
 
 Data matrices are stored rows = variables, columns = samples. Every
-text table and file the package writes encodes its cells with _fmt and
-its rows with _csv; numbers are decimal with 17 significant digits,
-which round-trips IEEE doubles exactly.
+text table and file the package writes, the model files of
+model.write_model included, encodes its cells with _fmt and its rows
+with _csv; numbers are decimal with 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -18,16 +19,12 @@ from .errors import (
     DegenerateVariable,
     DimensionError,
     EmptyInput,
-    FormatError,
     ParseError,
 )
 
 MODES = ("none", "center", "center_scale")
 
 ORIENTATIONS = ("rows_are_variables", "rows_are_samples")
-
-MODEL_MAGIC = "spikepca-model"
-MODEL_FORMAT_VERSION = 1
 
 # Data cells per row block of the bulk parse: a file gets one block per
 # SPLIT_CELLS cells, at most one per usable core. Forking and reaping a
@@ -141,7 +138,8 @@ class Preprocessing:
 
 
 def _parse_csv(path) -> np.ndarray:
-    """Parse a rectangular numeric CSV (optional single header row).
+    """Parse a rectangular numeric UTF-8 CSV (optional single header row;
+    a leading byte-order mark is skipped).
 
     Cells are whatever float() accepts after str.strip(). A clean file
     takes one bulk _parse_clean call; any other goes to the cell-by-cell
@@ -150,7 +148,7 @@ def _parse_csv(path) -> np.ndarray:
     EmptyInput if the file holds no data rows.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
@@ -304,192 +302,3 @@ def standardize(X: DataMatrix, mode: str) -> tuple[DataMatrix, Preprocessing]:
         )
     centered /= sds[:, None]
     return DataMatrix(centered), Preprocessing("center_scale", means, sds)
-
-
-# ---------------------------------------------------------------------------
-# model persistence
-# ---------------------------------------------------------------------------
-
-
-def write_model(model, path) -> None:
-    """Write a fitted model as a versioned line-oriented text file.
-
-    Layout: a magic first line, then sections ``[meta]`` (key=value),
-    ``[means]``, ``[scales]``, ``[eigenvalues]`` (``d,d_hat,lambda_hat``
-    per line), one ``[eigenvector <v>]`` section per retained component
-    (p lines each) and ``[adjustment]``
-    (``shrinkage,score_corr,evec_angle`` per retained component).
-    """
-    spectrum = model.spectrum
-    meta = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "p": model.p,
-        "n": model.n,
-        "gamma": model.gamma,
-        "mode": model.prep.mode,
-        "k": model.k,
-        "k_spikes": model.k_spikes,
-        "tau": spectrum.tau,
-        "iterations": spectrum.iterations,
-        "converged": spectrum.converged,
-    }
-    rows = [(MODEL_MAGIC,), ("[meta]",)]
-    rows += ((f"{key}={_fmt(value)}",) for key, value in meta.items())
-    rows.append(("[means]",))
-    rows += zip(model.prep.means)
-    rows.append(("[scales]",))
-    rows += zip(model.prep.scales)
-    rows.append(("[eigenvalues]",))
-    rows += zip(model.eig.d, spectrum.d_hat, spectrum.lambda_hat)
-    for v in range(model.k):
-        rows.append((f"[eigenvector {v + 1}]",))
-        rows += zip(model.eig.U[:, v])
-    rows.append(("[adjustment]",))
-    rows += zip(model.shrinkage, model.score_corr, model.evec_angle)
-    try:
-        Path(path).write_text(_csv(rows))
-    except OSError as exc:
-        raise FormatError(f"cannot write model to {path!r}: {exc}") from exc
-
-
-def _parse_model_float(token: str, where: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"bad number {token!r} in {where}") from None
-
-
-def _require_finite(values: np.ndarray, where: str) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise FormatError(f"non-finite value {float(values[bad][0])} in {where}")
-
-
-def read_model(path):
-    """Read a model written by write_model. Inverse up to exact floats."""
-    from .eigen import SampleEigen
-    from .model import FittedPcModel
-    from .spiked import RescaledSpectrum
-
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read model from {path!r}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MODEL_MAGIC:
-        raise FormatError(f"{path} is not a {MODEL_MAGIC} file")
-
-    sections: dict[str, list[str]] = {}
-    current = None
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("[") and ln.endswith("]"):
-            current = ln[1:-1]
-            if current in sections:
-                raise FormatError(f"duplicate section [{current}]")
-            sections[current] = []
-        elif current is None:
-            raise FormatError(f"content before first section: {ln!r}")
-        else:
-            sections[current].append(ln)
-
-    if "meta" not in sections:
-        raise FormatError("missing [meta] section")
-    meta = {}
-    for ln in sections["meta"]:
-        if "=" not in ln:
-            raise FormatError(f"bad meta line {ln!r}")
-        key, _, value = ln.partition("=")
-        meta[key.strip()] = value.strip()
-
-    if meta.get("format_version") != str(MODEL_FORMAT_VERSION):
-        raise FormatError(
-            f"unsupported format_version {meta.get('format_version')!r}"
-        )
-    try:
-        p = int(meta["p"])
-        n = int(meta["n"])
-        k = int(meta["k"])
-        k_spikes = int(meta["k_spikes"])
-        iterations = int(meta["iterations"])
-        gamma = _parse_model_float(meta["gamma"], "[meta] gamma")
-        tau = _parse_model_float(meta["tau"], "[meta] tau")
-        mode = meta["mode"]
-        converged = meta["converged"]
-    except KeyError as exc:
-        raise FormatError(f"missing meta key {exc}") from None
-    except ValueError as exc:
-        raise FormatError(f"bad meta value: {exc}") from None
-    if mode not in MODES:
-        raise FormatError(f"unknown mode {mode!r} in model file")
-    if converged not in ("true", "false"):
-        raise FormatError(f"bad converged={converged!r} in [meta], expected true/false")
-    if not (0 <= gamma < np.inf and np.isfinite(tau)):
-        raise FormatError(f"bad gamma={gamma} or tau={tau} in [meta]")
-
-    m = min(p, n)
-    for key, value, low in (("k", k, 1), ("k_spikes", k_spikes, 0)):
-        if not low <= value <= m:
-            raise FormatError(f"{key}={value} in [meta] is outside [{low}, {m}]")
-
-    def table(name, rows, width):
-        if name not in sections:
-            raise FormatError(f"missing [{name}] section")
-        lines = sections[name]
-        if len(lines) != rows:
-            raise FormatError(
-                f"[{name}] has {len(lines)} lines, expected {rows} (truncated file?)"
-            )
-        values = np.empty((rows, width))
-        for i, ln in enumerate(lines):
-            cells = ln.split(",")
-            if len(cells) != width:
-                raise FormatError(f"bad [{name}] line {ln!r}")
-            values[i] = [_parse_model_float(c, f"[{name}]") for c in cells]
-        if name != "adjustment":  # checked below, noise rows hold a nan
-            _require_finite(values, f"[{name}]")
-        return values
-
-    means = table("means", p, 1)[:, 0]
-    scales = table("scales", p, 1)[:, 0]
-    d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
-    U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
-    estimates = table("adjustment", k, 3)
-    shrinkage, score_corr, evec_angle = estimates.T
-    # write_model stores a nan shrinkage for each noise component.
-    _require_finite(estimates[:k_spikes], "[adjustment]")
-    noise = estimates[k_spikes:]
-    _require_finite(noise[~np.isnan(noise)], "[adjustment]")
-    # A spike's shrinkage (x - 1) / (x + gamma - 1), x above the detection
-    # threshold 1 + sqrt(gamma), lies in (1 / (1 + sqrt(gamma)), 1]; the
-    # slack allows for rounding when x is a few ulp above the threshold.
-    floor = (1 - 1e-12) / (1 + np.sqrt(gamma))
-    for s in shrinkage[:k_spikes]:
-        if not floor < s <= 1:
-            raise FormatError(
-                f"spike shrinkage {s} in [adjustment] is outside ({floor:.6g}, 1]"
-            )
-
-    prep = Preprocessing(mode, means, scales)
-    eig = SampleEigen(d=d, U=U, gamma=gamma)
-    spectrum = RescaledSpectrum(
-        d_hat=d_hat,
-        lambda_hat=lambda_hat,
-        k=k_spikes,
-        tau=tau,
-        gamma=gamma,
-        iterations=iterations,
-        converged=converged == "true",
-    )
-    return FittedPcModel(
-        prep=prep,
-        eig=eig,
-        spectrum=spectrum,
-        shrinkage=shrinkage,
-        score_corr=score_corr,
-        evec_angle=evec_angle,
-        identifiable=np.arange(k) < k_spikes,
-        n_samples=n,
-    )

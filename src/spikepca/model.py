@@ -1,17 +1,19 @@
 """End-to-end fit / predict pipeline with shrinkage-adjusted predictions.
 
-fit() standardizes, decomposes the sample covariance, rescales the
-spectrum, classifies spikes, and attaches per-component shrinkage and
-fidelity estimates. predict() maps new samples into the trained
-coordinates and returns both the naive scores and the bias-adjusted
-ones. A leave-one-out jackknife provides an empirical check on the
-asymptotic shrinkage factor.
+fit() standardizes, decomposes the sample covariance and rescales the
+spectrum; the model derives its per-component shrinkage and fidelity
+estimates from the spectrum (component_estimates). predict() maps new
+samples into the trained coordinates and returns both the naive scores
+and the bias-adjusted ones. write_model() and read_model() persist a
+model as text. A leave-one-out jackknife provides an empirical check
+on the asymptotic shrinkage factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +31,10 @@ from .errors import (
     DegenerateRegressor,
     DimensionError,
     DomainError,
+    FormatError,
     NotIdentifiable,
 )
-from .matrix_io import DataMatrix, Preprocessing, standardize
+from .matrix_io import MODES, DataMatrix, Preprocessing, _csv, _fmt, standardize
 from .spiked import (
     RescaledSpectrum,
     _shrinkage,
@@ -41,27 +44,36 @@ from .spiked import (
 )
 
 
+# FittedPcModel's derived fields, in component_estimates' order
+ESTIMATES = ("shrinkage", "score_corr", "evec_angle", "identifiable")
+
+
 @dataclass(frozen=True)
 class FittedPcModel:
     """Fitted spiked-model PCA.
 
-    Per retained component v the model carries the shrinkage factor
-    s_v, the estimated |cos|-angle between sample and population
-    eigenvectors, and the estimated correlation between sample and
-    population scores; the score adjustment 1/s_v is derived from the
-    shrinkage. For components classified as noise (``identifiable``
-    False) shrinkage and adjustment are NaN and both angle estimates
-    are 0.
+    Per retained component v the model derives from its spectrum, once
+    (component_estimates), the shrinkage factor s_v, the estimated
+    |cos|-angle between sample and population eigenvectors, and the
+    estimated correlation between sample and population scores; the
+    score adjustment 1/s_v is derived from the shrinkage. For components
+    classified as noise (``identifiable`` False) shrinkage and
+    adjustment are NaN and both angle estimates are 0.
     """
 
     prep: Preprocessing
     eig: SampleEigen
     spectrum: RescaledSpectrum
-    shrinkage: np.ndarray
-    score_corr: np.ndarray
-    evec_angle: np.ndarray
-    identifiable: np.ndarray
     n_samples: int
+    shrinkage: np.ndarray = field(init=False)
+    score_corr: np.ndarray = field(init=False)
+    evec_angle: np.ndarray = field(init=False)
+    identifiable: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        estimates = component_estimates(self.spectrum, self.k)
+        for name, value in zip(ESTIMATES, estimates):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -114,9 +126,10 @@ class PredictionScores:
 def component_estimates(spectrum: RescaledSpectrum, k: int):
     """Shrinkage/angle estimates and spike flags for the first k components.
 
-    Derived from the rescaled spectrum alone; used by fit() and usable
-    to re-derive the stored estimates of a persisted model. The spikes
-    are the first spectrum.k components, the rule read_model() applies.
+    Derived from the rescaled spectrum alone: the one derivation of a
+    fitted model's estimates, whether fit() built it or read_model()
+    rebuilt it from a file. The spikes are the first spectrum.k
+    components, each with a debiased eigenvalue above 1.
     """
     shrink = np.full(k, np.nan)
     corr = np.zeros(k)
@@ -164,17 +177,7 @@ def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
     # sample_eigen calls k_keep on the eigenvalues before it builds any
     # eigenvector, and then builds min(k_keep, numerical rank) of them.
     eig = sample_eigen(Xs, k_keep)
-    shrink, corr, angle, identifiable = component_estimates(spectrum, eig.k)
-    return FittedPcModel(
-        prep=prep,
-        eig=eig,
-        spectrum=spectrum,
-        shrinkage=shrink,
-        score_corr=corr,
-        evec_angle=angle,
-        identifiable=identifiable,
-        n_samples=X.n,
-    )
+    return FittedPcModel(prep=prep, eig=eig, spectrum=spectrum, n_samples=X.n)
 
 
 def predict(model: FittedPcModel, X_new) -> PredictionScores:
@@ -202,6 +205,194 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
     return PredictionScores(
         naive=naive, adjusted=adjusted, identifiable=mask.copy()
     )
+
+
+# ---------------------------------------------------------------------------
+# model persistence
+# ---------------------------------------------------------------------------
+
+MODEL_MAGIC = "spikepca-model"
+MODEL_FORMAT_VERSION = 1
+
+
+def write_model(model: FittedPcModel, path) -> None:
+    """Write a fitted model as a versioned line-oriented text file.
+
+    Layout: a magic first line, then sections ``[meta]`` (key=value),
+    ``[means]``, ``[scales]``, ``[eigenvalues]`` (``d,d_hat,lambda_hat``
+    per line), one ``[eigenvector <v>]`` section per retained component
+    (p lines each) and ``[adjustment]``
+    (``shrinkage,score_corr,evec_angle`` per retained component).
+    """
+    spectrum = model.spectrum
+    meta = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "p": model.p,
+        "n": model.n,
+        "gamma": model.gamma,
+        "mode": model.prep.mode,
+        "k": model.k,
+        "k_spikes": model.k_spikes,
+        "tau": spectrum.tau,
+        "iterations": spectrum.iterations,
+        "converged": spectrum.converged,
+    }
+    rows = [(MODEL_MAGIC,), ("[meta]",)]
+    rows += ((f"{key}={_fmt(value)}",) for key, value in meta.items())
+    rows.append(("[means]",))
+    rows += zip(model.prep.means)
+    rows.append(("[scales]",))
+    rows += zip(model.prep.scales)
+    rows.append(("[eigenvalues]",))
+    rows += zip(model.eig.d, spectrum.d_hat, spectrum.lambda_hat)
+    for v in range(model.k):
+        rows.append((f"[eigenvector {v + 1}]",))
+        rows += zip(model.eig.U[:, v])
+    rows.append(("[adjustment]",))
+    rows += zip(model.shrinkage, model.score_corr, model.evec_angle)
+    try:
+        Path(path).write_text(_csv(rows))
+    except OSError as exc:
+        raise FormatError(f"cannot write model to {path!r}: {exc}") from exc
+
+
+def _parse_model_float(token: str, where: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise FormatError(f"bad number {token!r} in {where}") from None
+
+
+def _require_finite(values: np.ndarray, where: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise FormatError(f"non-finite value {float(values[bad][0])} in {where}")
+
+
+def read_model(path) -> FittedPcModel:
+    """Read a model written by write_model. Inverse up to exact floats.
+
+    The estimates are derived from the file's spectrum, as fit() derives
+    them; a spike lambda_hat not above 1, or an [adjustment] cell that
+    differs from its derived value (nan matching nan), is a FormatError.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read model from {path!r}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != MODEL_MAGIC:
+        raise FormatError(f"{path} is not a {MODEL_MAGIC} file")
+
+    sections: dict[str, list[str]] = {}
+    current = None
+    for ln in lines[1:]:
+        ln = ln.strip()
+        if not ln:
+            continue
+        if ln.startswith("[") and ln.endswith("]"):
+            current = ln[1:-1]
+            if current in sections:
+                raise FormatError(f"duplicate section [{current}]")
+            sections[current] = []
+        elif current is None:
+            raise FormatError(f"content before first section: {ln!r}")
+        else:
+            sections[current].append(ln)
+
+    if "meta" not in sections:
+        raise FormatError("missing [meta] section")
+    meta = {}
+    for ln in sections["meta"]:
+        if "=" not in ln:
+            raise FormatError(f"bad meta line {ln!r}")
+        key, _, value = ln.partition("=")
+        meta[key.strip()] = value.strip()
+
+    if meta.get("format_version") != str(MODEL_FORMAT_VERSION):
+        raise FormatError(
+            f"unsupported format_version {meta.get('format_version')!r}"
+        )
+    try:
+        p = int(meta["p"])
+        n = int(meta["n"])
+        k = int(meta["k"])
+        k_spikes = int(meta["k_spikes"])
+        iterations = int(meta["iterations"])
+        gamma = _parse_model_float(meta["gamma"], "[meta] gamma")
+        tau = _parse_model_float(meta["tau"], "[meta] tau")
+        mode = meta["mode"]
+        converged = meta["converged"]
+    except KeyError as exc:
+        raise FormatError(f"missing meta key {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"bad meta value: {exc}") from None
+    if mode not in MODES:
+        raise FormatError(f"unknown mode {mode!r} in model file")
+    if converged not in ("true", "false"):
+        raise FormatError(f"bad converged={converged!r} in [meta], expected true/false")
+    if not (0 <= gamma < np.inf and np.isfinite(tau)):
+        raise FormatError(f"bad gamma={gamma} or tau={tau} in [meta]")
+
+    m = min(p, n)
+    for key, value, low in (("k", k, 1), ("k_spikes", k_spikes, 0)):
+        if not low <= value <= m:
+            raise FormatError(f"{key}={value} in [meta] is outside [{low}, {m}]")
+
+    def table(name, rows, width):
+        if name not in sections:
+            raise FormatError(f"missing [{name}] section")
+        lines = sections[name]
+        if len(lines) != rows:
+            raise FormatError(
+                f"[{name}] has {len(lines)} lines, expected {rows} (truncated file?)"
+            )
+        values = np.empty((rows, width))
+        for i, ln in enumerate(lines):
+            cells = ln.split(",")
+            if len(cells) != width:
+                raise FormatError(f"bad [{name}] line {ln!r}")
+            values[i] = [_parse_model_float(c, f"[{name}]") for c in cells]
+        if name != "adjustment":  # compared below, noise rows hold a nan
+            _require_finite(values, f"[{name}]")
+        return values
+
+    means = table("means", p, 1)[:, 0]
+    scales = table("scales", p, 1)[:, 0]
+    d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
+    U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
+    stored = table("adjustment", k, 3)
+    for v, lam in enumerate(lambda_hat[:k_spikes]):
+        if not lam > 1:
+            raise FormatError(
+                f"spike lambda_hat {_fmt(lam)} in [eigenvalues] line {v + 1} "
+                "is not above 1"
+            )
+
+    model = FittedPcModel(
+        prep=Preprocessing(mode, means, scales),
+        eig=SampleEigen(d=d, U=U, gamma=gamma),
+        spectrum=RescaledSpectrum(
+            d_hat=d_hat,
+            lambda_hat=lambda_hat,
+            k=k_spikes,
+            tau=tau,
+            gamma=gamma,
+            iterations=iterations,
+            converged=converged == "true",
+        ),
+        n_samples=n,
+    )
+    derived = np.column_stack([getattr(model, name) for name in ESTIMATES[:3]])
+    same = (stored == derived) | (np.isnan(stored) & np.isnan(derived))
+    if not same.all():
+        v, c = np.argwhere(~same)[0]
+        raise FormatError(
+            f"{'spike' if v < k_spikes else 'noise'} {ESTIMATES[c]} "
+            f"{_fmt(stored[v, c])} in [adjustment] line {v + 1} is not "
+            f"{_fmt(derived[v, c])}, the value [eigenvalues] gives"
+        )
+    return model
 
 
 @dataclass(frozen=True)

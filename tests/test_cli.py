@@ -81,6 +81,20 @@ class TestFit:
         code, _, _ = run_cli(capsys, "fit", str(tmp_path / "missing.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("header", [False, True])
+    def test_byte_order_mark_input_fits(self, capsys, two_spike_csv, tmp_path, header):
+        # the same matrix saved with a UTF-8 byte-order mark fits alike
+        text = two_spike_csv.read_text()
+        if header:
+            text = ",".join(f"s{j}" for j in range(200)) + "\n" + text
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "fit", str(marked), "--mode", "none")
+        assert code == 0
+        code, expected, _ = run_cli(capsys, "fit", str(two_spike_csv), "--mode", "none")
+        assert code == 0
+        assert out == expected
+
     def test_warns_when_rescaling_does_not_converge(
         self, capsys, monkeypatch, two_spike_csv
     ):
@@ -161,6 +175,19 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert "[adjustment]" in err
+
+    @pytest.mark.parametrize("value", ["1.0", "0.5"])
+    def test_spike_lambda_hat_not_above_one_exits_2(
+        self, capsys, two_spike_csv, model_path, value
+    ):
+        lines = model_path.read_text().splitlines()
+        i = lines.index("[eigenvalues]") + 1
+        lines[i] = lines[i].rsplit(",", 1)[0] + "," + value
+        model_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(two_spike_csv))
+        assert code == 2
+        assert out == ""
+        assert "[eigenvalues]" in err
 
     def test_single_sample(self, capsys, two_spike_csv, model_path, tmp_path):
         # one sample as a column, and as a row under rows-are-samples

@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,19 @@ class TestReadMatrix:
         path.write_text("s1,s2,s3\n1,2,3\n4,5,6\n")
         X = read_matrix(path)
         assert (X.p, X.n) == (2, 3)
+
+    @pytest.mark.parametrize("header", ["", "s1,s2,s3\n"])
+    def test_byte_order_mark_is_not_a_cell(self, tmp_path, header):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        body = header + "1,2,3\n4,5,6\n7,8,10\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(_parse_csv(marked), _parse_csv(plain))
+        np.testing.assert_array_equal(
+            _parse_csv(marked), [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        )
 
     def test_header_without_data(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -704,6 +719,70 @@ class TestModelPersistence:
         edit_model_cell(path, "adjustment", 0, 0, value)
         with pytest.raises(FormatError, match=r"spike shrinkage .* \[adjustment\]"):
             read_model(path)
+
+    @pytest.mark.parametrize(
+        "row, col, value",
+        [
+            (0, 0, "ulp"),  # spike shrinkage, one ulp below the derived one
+            (0, 1, "0.5"),  # spike score_corr
+            (0, 2, "ulp"),  # spike evec_angle
+            (1, 1, "0.5"),  # noise score_corr, derived as 0
+        ],
+    )
+    def test_adjustment_disagreeing_with_spectrum_rejected(
+        self, fitted, tmp_path, row, col, value
+    ):
+        # finite, in-range estimates that the spectrum does not give: the
+        # file's [adjustment] must be the estimates derived from
+        # [eigenvalues], or predict would adjust by other numbers
+        assert fitted.k_spikes == 1
+        names = ("shrinkage", "score_corr", "evec_angle")
+        derived = getattr(fitted, names[col])[row]
+        if value == "ulp":
+            value = _fmt(np.nextafter(derived, 0.0))
+        stored = float(value)
+        assert stored != derived and 0 <= stored <= 1
+        if col == 0:
+            assert 1 / (1 + math.sqrt(fitted.gamma)) < stored
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        edit_model_cell(path, "adjustment", row, col, value)
+        kind = "spike" if row < fitted.k_spikes else "noise"
+        message = (
+            rf"{kind} {names[col]} {re.escape(value)} in \[adjustment\] "
+            rf"line {row + 1} is not {re.escape(_fmt(derived))}"
+        )
+        with pytest.raises(FormatError, match=message):
+            read_model(path)
+
+    @pytest.mark.parametrize("value", ["1.0", "0.5", "-3"])
+    def test_spike_lambda_hat_not_above_one_rejected(self, fitted, tmp_path, value):
+        # gamma = 0.5, so 0.5 is the lambda_hat = 1 - gamma at which the
+        # shrinkage formula divides by zero: rejected before any estimate
+        # is derived, with no floating-point warning
+        assert fitted.gamma == 0.5 and fitted.k_spikes == 1
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        edit_model_cell(path, "eigenvalues", 0, 2, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                FormatError, match=r"spike lambda_hat .* \[eigenvalues\] line 1"
+            ):
+                read_model(path)
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("k", ["auto", 1, 3])
+    @pytest.mark.parametrize("gamma, n, seed", [(0.5, 10, 1), (1.0, 40, 2), (4.0, 12, 3)])
+    def test_every_written_model_loads(self, tmp_path, mode, k, gamma, n, seed):
+        # the reader re-derives the estimates; a written model reads back
+        # with the fitted model's bits, never as a disagreement
+        fitted = fit(gen_two_spike(n, gamma, seed=seed), mode=mode, k=k)
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        loaded = read_model(path)
+        for name in ("shrinkage", "score_corr", "evec_angle", "identifiable"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(fitted, name))
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -93,6 +93,25 @@ class TestFit:
         np.testing.assert_array_equal(angle, model.evec_angle)
         np.testing.assert_array_equal(ident, model.identifiable)
 
+    def test_model_derives_its_estimates_from_the_spectrum(self, two_spike_model):
+        # the four estimate arrays are derived fields, never passed in
+        _, model = two_spike_model
+        rebuilt = FittedPcModel(
+            prep=model.prep, eig=model.eig, spectrum=model.spectrum,
+            n_samples=model.n,
+        )
+        derived = component_estimates(model.spectrum, model.k)
+        for name, expected in zip(
+            ("shrinkage", "score_corr", "evec_angle", "identifiable"), derived
+        ):
+            np.testing.assert_array_equal(getattr(rebuilt, name), expected)
+            assert getattr(rebuilt, name).dtype == expected.dtype
+        with pytest.raises(TypeError):
+            FittedPcModel(
+                prep=model.prep, eig=model.eig, spectrum=model.spectrum,
+                n_samples=model.n, shrinkage=model.shrinkage,
+            )
+
     def test_plugin_chain_consistency(self, two_spike_model):
         _, model = two_spike_model
         gamma = model.gamma
@@ -142,10 +161,6 @@ class TestSpikeRule:
             prep=Preprocessing("none", np.zeros(3), np.ones(3)),
             eig=SampleEigen(d=d_hat, U=np.eye(3), gamma=gamma),
             spectrum=spectrum,
-            shrinkage=shrink,
-            score_corr=corr,
-            evec_angle=angle,
-            identifiable=ident,
             n_samples=19,
         )
         path = tmp_path / "model.spca"
