@@ -5,11 +5,14 @@ X^T X / n, whose nonzero eigenvalues equal those of the covariance;
 covariance eigenvectors are recovered as X h / sqrt(n d). That choice
 is made in this module alone: sample_eigen and the jackknife share
 _covariance_eigh, and the jackknife's downdate reads its basis through
-_scatter_coordinates. Eigenvector signs are fixed
-(largest-magnitude entry positive, ties to the lowest index) so results
-are reproducible byte for byte. downdate_leading gives the leading
-eigenvalues of diagonal-minus-rank-one matrices, the jackknife's
-leave-one-out replicates, by the secular equation.
+_scatter_coordinates. Given a Preprocessing, the product and the
+eigenvectors are summed over standardized blocks of at most
+matrix_io.BLOCK_CELLS cells, so no standardized copy of X is made.
+Eigenvector signs are fixed (largest-magnitude entry positive, ties to
+the lowest index) so results are reproducible byte for byte.
+downdate_leading gives the leading eigenvalues of
+diagonal-minus-rank-one matrices, the jackknife's leave-one-out
+replicates, by the secular equation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMatrix, DimensionError
-from .matrix_io import DataMatrix
+from .matrix_io import DataMatrix, Preprocessing, blocks
 
 # Eigenvalues below RANK_TOL * d_1 are treated as numerical zeros: they are
 # clamped and their eigenvectors are not materialized.
@@ -77,51 +80,122 @@ def descending_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return d, V[:, order], rank
 
 
-def sample_eigen(X: DataMatrix, k: int | Callable[[np.ndarray], int]) -> SampleEigen:
+def sample_eigen(
+    X: DataMatrix,
+    k: int | Callable[[np.ndarray], int],
+    prep: Preprocessing | None = None,
+) -> SampleEigen:
     """Leading eigenpairs of the sample covariance of X.
 
     Returns all min(p, n) eigenvalues and the first ``k`` eigenvectors
     (fewer if the numerical rank is smaller). ``k`` is an int or a
     function of the non-increasing eigenvalues returning that int; the
     function runs after the decomposition and before any eigenvector
-    is built, so callers can choose k from the spectrum. Raises
-    DimensionError for k outside [1, min(p, n)] and DegenerateMatrix
-    for an all-zero X.
+    is built, so callers can choose k from the spectrum. With ``prep``,
+    the covariance is that of prep.apply(X.values), taken one
+    standardized block at a time. Raises DimensionError for k outside
+    [1, min(p, n)] or a prep for another p, and DegenerateMatrix for a
+    matrix that is all zero (after prep).
     """
     m = min(X.p, X.n)
     if not callable(k):
         _check_k(k, m)
+    if prep is not None and prep.p != X.p:
+        raise DimensionError(
+            f"preprocessing is for p={prep.p} variables, matrix has p={X.p}"
+        )
     A = X.values
-    d, V, rank = _covariance_eigh(A)
+    d, V, rank = _covariance_eigh(A, prep)
     if callable(k):
         k = k(d)
         _check_k(k, m)
-    return SampleEigen(d=d, U=_eigenvectors(A, d, V, min(k, rank)), gamma=X.p / X.n)
+    U = _eigenvectors(A, d, V, min(k, rank), prep)
+    return SampleEigen(d=d, U=U, gamma=X.p / X.n)
 
 
-def _covariance_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """descending_eigh of the p x n matrix A's sample covariance A A' / n.
+def _standardized(A: np.ndarray, prep: Preprocessing, rows: bool):
+    """prep.apply(A) one block at a time: yields (slice, Z) for each row
+    block (rows true) or column block of A, Z written into one reused
+    buffer of at most BLOCK_CELLS cells."""
+    p, n = A.shape
+    width = n if rows else p
+    cuts = blocks(p if rows else n, width)
+    buf = np.empty(cuts[0].stop * width)
+    means, scales = prep.means[:, None], prep.scales[:, None]
+    for b in cuts:
+        size = (b.stop - b.start) * width
+        if rows:
+            Z = buf[:size].reshape(-1, n)
+            np.subtract(A[b], means[b], out=Z)
+        else:
+            Z = buf[:size].reshape(p, -1)
+            np.subtract(A[:, b], means, out=Z)
+        if prep.mode == "center_scale":  # center divides by 1, exactly
+            Z /= scales[b] if rows else scales
+        yield b, Z
+
+
+def _identity(prep: Preprocessing | None) -> bool:
+    """True when prep leaves the matrix as it is (none, or mode none)."""
+    return prep is None or prep.mode == "none"
+
+
+def _covariance_eigh(
+    A: np.ndarray, prep: Preprocessing | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """descending_eigh of the sample covariance Z Z' / n of the p x n
+    matrix Z = prep.apply(A) (A itself without prep or under mode none).
 
     It takes the p x p covariance when p <= n, else the n x n Gram
-    matrix A'A / n, whose nonzero eigenvalues are the covariance's;
-    _eigenvectors and _scatter_coordinates read V by the same rule.
-    Raises DegenerateMatrix for an all-zero A.
+    matrix Z'Z / n, whose nonzero eigenvalues are the covariance's;
+    _eigenvectors and _scatter_coordinates read V by the same rule. A
+    standardized Z is never formed whole: its product is summed over
+    column blocks (covariance) or row blocks (Gram). Raises
+    DegenerateMatrix for an all-zero Z.
     """
     p, n = A.shape
-    if not A.any():
+    gram = p > n
+    if _identity(prep):
+        if not A.any():
+            raise DegenerateMatrix("cannot decompose an all-zero matrix")
+        return descending_eigh(A.T @ A / n if gram else A @ A.T / n)
+    M = partial = None
+    nonzero = False
+    for _, Z in _standardized(A, prep, rows=gram):
+        nonzero = nonzero or bool(Z.any())
+        left, right = (Z.T, Z) if gram else (Z, Z.T)
+        if M is None:
+            M = left @ right
+        else:
+            if partial is None:
+                partial = np.empty_like(M)
+            M += np.matmul(left, right, out=partial)
+    if not nonzero:
         raise DegenerateMatrix("cannot decompose an all-zero matrix")
-    return descending_eigh(A @ A.T / n if p <= n else A.T @ A / n)
+    del partial
+    M /= n
+    return descending_eigh(M)
 
 
-def _eigenvectors(A: np.ndarray, d: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
+def _eigenvectors(
+    A: np.ndarray, d: np.ndarray, V: np.ndarray, k: int,
+    prep: Preprocessing | None = None,
+) -> np.ndarray:
     """The first k covariance eigenvectors (k at most the rank) from
-    _covariance_eigh's d and V, signs fixed: V's columns on the
-    covariance side, A h / sqrt(n d) on the Gram side."""
+    _covariance_eigh(A, prep)'s d and V, signs fixed: V's columns on
+    the covariance side, Z h / sqrt(n d) on the Gram side, built over
+    the row blocks of Z = prep.apply(A)."""
     p, n = A.shape
     if p <= n:
         U = np.array(V[:, :k])
     else:
-        U = A @ (V[:, :k] / np.sqrt(n * d[:k]))
+        H = V[:, :k] / np.sqrt(n * d[:k])
+        if _identity(prep):
+            U = A @ H
+        else:
+            U = np.empty((p, k))
+            for b, Z in _standardized(A, prep, rows=True):
+                np.matmul(Z, H, out=U[b])
     return _fix_signs(np.ascontiguousarray(U))
 
 

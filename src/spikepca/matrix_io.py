@@ -31,6 +31,23 @@ ORIENTATIONS = ("rows_are_variables", "rows_are_samples")
 # child costs about 5 ms, converting 2**18 cells about 0.12 s (2 vCPU VM).
 SPLIT_CELLS = 2**18
 
+# Cells per block (16 MB of doubles) of the passes that stream a data
+# matrix instead of copying it: the finiteness checks, the per-variable
+# standard deviations and eigen's standardized products.
+BLOCK_CELLS = 2**21
+
+
+def blocks(length: int, width: int) -> list[slice]:
+    """Slices cutting ``length`` lines of ``width`` cells each into
+    consecutive blocks of at most BLOCK_CELLS cells (one line at least)."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """np.isfinite(arr).all() for a 2-D array, one row block at a time."""
+    return all(np.isfinite(arr[b]).all() for b in blocks(*arr.shape))
+
 
 def _fmt(x) -> str:
     """Text of one cell: the one encoding of every table and file the
@@ -76,7 +93,7 @@ class DataMatrix:
             raise DimensionError(
                 f"need at least 1 variable and 2 samples, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise ParseError("data matrix contains non-finite entries")
         object.__setattr__(self, "values", arr)
 
@@ -116,6 +133,36 @@ class Preprocessing:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "scales", scales)
 
+    @classmethod
+    def from_data(cls, X: DataMatrix, mode: str) -> Preprocessing:
+        """The statistics that standardize X under ``mode``.
+
+        Means, and for center_scale standard deviations with divisor n
+        (population form), matching the covariance definition used
+        downstream. The deviations are taken one row block at a time, so
+        no p x n temporary is made. Raises DegenerateVariable if a row
+        has zero variance under center_scale.
+        """
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "none":
+            return cls("none", np.zeros(X.p), np.ones(X.p))
+        A = X.values
+        means = A.mean(axis=1)
+        if mode == "center":
+            return cls("center", means, np.ones(X.p))
+        sds = np.empty(X.p)
+        for b in blocks(X.p, X.n):
+            centered = A[b] - means[b, None]
+            sds[b] = np.sqrt(np.mean(centered**2, axis=1))
+        bad = np.flatnonzero(sds == 0)
+        if bad.size:
+            raise DegenerateVariable(
+                f"variable {bad[0]} has zero variance; cannot center_scale",
+                row=int(bad[0]),
+            )
+        return cls("center_scale", means, sds)
+
     @property
     def p(self) -> int:
         return self.means.shape[0]
@@ -133,7 +180,8 @@ class Preprocessing:
         if x.ndim == 2:
             means, scales = means[:, None], scales[:, None]
         Z = x - means
-        Z /= scales
+        if self.mode == "center_scale":  # other modes divide by 1, exactly
+            Z /= scales
         return Z
 
 
@@ -276,29 +324,12 @@ def write_matrix(X: DataMatrix, path) -> None:
 def standardize(X: DataMatrix, mode: str) -> tuple[DataMatrix, Preprocessing]:
     """Center and/or scale each variable of X.
 
-    Standard deviations use divisor n (population form), matching the
-    covariance definition used downstream. Returns the transformed
-    matrix and the Preprocessing record holding the statistics applied.
-
-    Raises DegenerateVariable if a row has zero variance under
-    center_scale.
+    Returns the transformed matrix, prep.apply(X.values) (X itself for
+    mode none), and the Preprocessing.from_data record prep holding the
+    statistics applied. Raises DegenerateVariable if a row has zero
+    variance under center_scale.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    p = X.p
+    prep = Preprocessing.from_data(X, mode)
     if mode == "none":
-        prep = Preprocessing("none", np.zeros(p), np.ones(p))
         return X, prep
-    means = X.values.mean(axis=1)
-    centered = X.values - means[:, None]
-    if mode == "center":
-        return DataMatrix(centered), Preprocessing("center", means, np.ones(p))
-    sds = np.sqrt(np.mean(centered**2, axis=1))
-    bad = np.flatnonzero(sds == 0)
-    if bad.size:
-        raise DegenerateVariable(
-            f"variable {bad[0]} has zero variance; cannot center_scale",
-            row=int(bad[0]),
-        )
-    centered /= sds[:, None]
-    return DataMatrix(centered), Preprocessing("center_scale", means, sds)
+    return DataMatrix(prep.apply(X.values)), prep

@@ -1,12 +1,13 @@
 """End-to-end fit / predict pipeline with shrinkage-adjusted predictions.
 
-fit() standardizes, decomposes the sample covariance and rescales the
-spectrum; the model derives its per-component shrinkage and fidelity
-estimates from the spectrum (component_estimates). predict() maps new
-samples into the trained coordinates and returns both the naive scores
-and the bias-adjusted ones. write_model() and read_model() persist a
-model as text. A leave-one-out jackknife provides an empirical check
-on the asymptotic shrinkage factor.
+fit() takes the standardizing statistics, decomposes the standardized
+sample covariance and rescales the spectrum; the model derives its
+per-component shrinkage and fidelity estimates from the spectrum
+(component_estimates). predict() maps new samples into the trained
+coordinates and returns both the naive scores and the bias-adjusted
+ones. write_model() and read_model() persist a model as text. A
+leave-one-out jackknife provides an empirical check on the asymptotic
+shrinkage factor.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ from .errors import (
     FormatError,
     NotIdentifiable,
 )
-from .matrix_io import MODES, DataMatrix, Preprocessing, _csv, _fmt, standardize
+from .matrix_io import (
+    MODES,
+    DataMatrix,
+    Preprocessing,
+    _csv,
+    _fmt,
+    all_finite,
+    standardize,
+)
 from .spiked import (
     RescaledSpectrum,
     _shrinkage,
@@ -149,10 +158,12 @@ def component_estimates(spectrum: RescaledSpectrum, k: int):
 def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
     """Fit the spiked-model PCA pipeline to a training matrix.
 
-    Runs standardize -> eigendecomposition (all min(p, n) eigenvalues)
-    -> eigenvalue rescaling with gamma = p / n -> eigenvectors of the
-    retained components only -> per-component estimates. With k="auto"
-    the number of detected spikes is retained (minimum 1).
+    Runs the standardizing statistics -> eigendecomposition of the
+    standardized covariance (all min(p, n) eigenvalues) -> eigenvalue
+    rescaling with gamma = p / n -> eigenvectors of the retained
+    components only -> per-component estimates. With k="auto" the number
+    of detected spikes is retained (minimum 1). The standardized matrix
+    is never materialized: sample_eigen streams it in blocks.
     """
     if X.n < 3:
         raise DimensionError(f"need at least 3 samples to fit, got {X.n}")
@@ -166,7 +177,7 @@ def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
         if not 1 <= k_request <= m:
             raise DimensionError(f"k must be in [1, {m}], got {k_request}")
 
-    Xs, prep = standardize(X, mode)
+    prep = Preprocessing.from_data(X, mode)
     spectrum = None
 
     def k_keep(d):
@@ -176,7 +187,7 @@ def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
 
     # sample_eigen calls k_keep on the eigenvalues before it builds any
     # eigenvector, and then builds min(k_keep, numerical rank) of them.
-    eig = sample_eigen(Xs, k_keep)
+    eig = sample_eigen(X, k_keep, prep=prep)
     return FittedPcModel(prep=prep, eig=eig, spectrum=spectrum, n_samples=X.n)
 
 
@@ -196,7 +207,7 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
         raise DimensionError(
             f"expected a {model.p} x m matrix, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise DomainError("new samples contain non-finite values")
     naive = project(model.eig.U, model.prep.apply(arr))
     adjusted = naive.copy()
@@ -267,6 +278,26 @@ def _require_finite(values: np.ndarray, where: str) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
         raise FormatError(f"non-finite value {float(values[bad][0])} in {where}")
+
+
+def _check_preprocessing(mode: str, means: np.ndarray, scales: np.ndarray) -> None:
+    """FormatError, naming the section and line, for statistics that
+    Preprocessing rejects: a scale not above 0, or under mode none a
+    mean other than 0 or a scale other than 1."""
+    bad = np.flatnonzero(~(scales > 0))
+    if bad.size:
+        raise FormatError(
+            f"scale {_fmt(scales[bad[0]])} in [scales] line {bad[0] + 1} is not positive"
+        )
+    if mode != "none":
+        return
+    for name, values, identity in (("means", means, 0.0), ("scales", scales, 1.0)):
+        bad = np.flatnonzero(values != identity)
+        if bad.size:
+            raise FormatError(
+                f"{name[:-1]} {_fmt(values[bad[0]])} in [{name}] line {bad[0] + 1} "
+                f"is not {_fmt(identity)}, as mode none requires"
+            )
 
 
 def read_model(path) -> FittedPcModel:
@@ -359,6 +390,7 @@ def read_model(path) -> FittedPcModel:
 
     means = table("means", p, 1)[:, 0]
     scales = table("scales", p, 1)[:, 0]
+    _check_preprocessing(mode, means, scales)
     d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
     U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
     stored = table("adjustment", k, 3)
@@ -436,14 +468,14 @@ def jackknife_shrinkage(
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
     if component < 1:
         raise DomainError(f"component must be >= 1, got {component}")
-    Xs, _ = standardize(X, mode)
+    Xs, prep = standardize(X, mode)
     m = min(X.p, X.n)
     if component > m:
         raise DimensionError(f"k must be in [1, {m}], got {component}")
-    # the steps of fit(Xs, "none", k=component), which sees the
-    # standardized matrix, keeping the decomposition for the downdate
+    # the decomposition of fit(X, mode, k=component), kept for the
+    # downdate; the standardized A gives the scores and the scatter
     A = Xs.values
-    d, V, _ = _covariance_eigh(A)
+    d, V, _ = _covariance_eigh(X.values, prep)
     spectrum = rescale_eigenvalues(d, X.p, X.n)
     if component > spectrum.k:
         raise NotIdentifiable(

@@ -21,6 +21,7 @@ asymptotically invisible: angles drop to 0 and no adjustment exists.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ def _check_gamma(gamma: float) -> None:
 def _check_spike(spike: float) -> None:
     if not spike > 1:
         raise DomainError(f"spike eigenvalue must exceed 1, got {spike}")
+
+
+# The largest double whose square is finite.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _over_square(gamma: float, x1: float) -> float:
+    """gamma / x1^2 for x1 > 0; 0 where the square would overflow, the
+    value the division by an infinite square gives, without its warning."""
+    return gamma / x1**2 if x1 <= _SQRT_MAX else 0.0
 
 
 def detection_threshold(gamma: float) -> float:
@@ -86,7 +97,7 @@ def eigenvector_angle(spike: float, gamma: float) -> float:
     if spike <= detection_threshold(gamma):
         return 0.0
     x1 = spike - 1
-    return math.sqrt((1 - gamma / x1**2) / (1 + gamma / x1))
+    return math.sqrt((1 - _over_square(gamma, x1)) / (1 + gamma / x1))
 
 
 def score_angle(spike: float, gamma: float) -> float:
@@ -99,7 +110,7 @@ def score_angle(spike: float, gamma: float) -> float:
     _check_spike(spike)
     if spike <= detection_threshold(gamma):
         return 0.0
-    return math.sqrt(1 - gamma / (spike - 1) ** 2)
+    return math.sqrt(1 - _over_square(gamma, spike - 1))
 
 
 def shrinkage_factor(spike: float, gamma: float) -> float:

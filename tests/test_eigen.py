@@ -1,6 +1,7 @@
 """Eigendecomposition: oracles, invariants, and the Gram path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ import pytest
 from spikepca import (
     DataMatrix,
     DegenerateMatrix,
+    DegenerateVariable,
     DimensionError,
     fit,
     gen_two_spike,
+    jackknife_shrinkage,
     pc_scores,
     predict,
     sample_eigen,
     standardize,
 )
 import spikepca.eigen
+import spikepca.matrix_io
+import spikepca.model
 from spikepca.eigen import downdate_leading
 
 
@@ -141,6 +146,124 @@ class TestBoundaryShapes:
         model = fit(X, mode="center")
         assert model.spectrum.converged
         np.testing.assert_array_equal(model.eig.d, eig.d)
+
+
+def standardized_eigen(X, mode, k):
+    """fit's d and U the plain way: a standardized copy, one product and
+    np.linalg.eigh, under the package's order, rank and sign rules."""
+    A = standardize(X, mode)[0].values
+    p, n = A.shape
+    w, V = np.linalg.eigh(A @ A.T / n if p <= n else A.T @ A / n)
+    order = np.argsort(w, kind="stable")[::-1]
+    d, V = w[order], V[:, order]
+    d = np.where(d < spikepca.eigen.RANK_TOL * max(d[0], 0.0), 0.0, d)
+    if p <= n:
+        U = np.array(V[:, :k], order="C")
+    else:
+        U = A @ (V[:, :k] / np.sqrt(n * d[:k]))
+    flip = U[np.argmax(np.abs(U), axis=0), np.arange(k)] < 0
+    U[:, flip] *= -1.0
+    return d, U
+
+
+class TestStreamedStandardization:
+    """fit sums its product over standardized blocks of at most
+    BLOCK_CELLS cells, so it holds no standardized copy of X."""
+
+    SHAPES = {"gram": (90, 24), "covariance": (24, 90)}
+
+    @pytest.fixture
+    def many_blocks(self, monkeypatch):
+        # 2**7 cells: row blocks of 5 of 90 rows, column blocks of 5 of 90
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**7)
+
+    @staticmethod
+    def matrix(shape):
+        """Noise plus one factor loaded on every variable, a spike under
+        each mode, with offsets and uneven scales for the modes to undo."""
+        p, n = shape
+        rng = np.random.default_rng(11)
+        factor = np.linspace(0.5, 1.5, p)[:, None] * rng.standard_normal(n)
+        values = rng.standard_normal((p, n)) + factor
+        scales = np.linspace(0.5, 2.0, p)[:, None]
+        return DataMatrix(values * scales + np.linspace(-3.0, 5.0, p)[:, None])
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_one_block_is_byte_identical(self, case, mode):
+        X = self.matrix(self.SHAPES[case])
+        assert X.values.size <= spikepca.matrix_io.BLOCK_CELLS
+        model = fit(X, mode, k=3)
+        d, U = standardized_eigen(X, mode, 3)
+        np.testing.assert_array_equal(model.eig.d, d)
+        np.testing.assert_array_equal(model.eig.U, U)
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_many_blocks_match_the_copy(self, case, mode, many_blocks):
+        X = self.matrix(self.SHAPES[case])
+        model = fit(X, mode, k=3)
+        _, prep = standardize(X, mode)
+        # the statistics are per-row reductions: the same bits at any size
+        np.testing.assert_array_equal(model.prep.means, prep.means)
+        np.testing.assert_array_equal(model.prep.scales, prep.scales)
+        d, U = standardized_eigen(X, mode, 3)
+        if mode == "none":
+            # one block, the matrix itself, at every size
+            np.testing.assert_array_equal(model.eig.d, d)
+            np.testing.assert_array_equal(model.eig.U, U)
+        else:
+            np.testing.assert_allclose(model.eig.d, d, rtol=1e-12, atol=1e-12 * d[0])
+            np.testing.assert_allclose(model.eig.U, U, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_one_block_jackknife_plugin_from_the_copy(self, case, mode):
+        X = self.matrix(self.SHAPES[case])
+        d, _ = standardized_eigen(X, mode, 1)
+        spectrum = spikepca.model.rescale_eigenvalues(d, X.p, X.n)
+        expected = spikepca.model.component_estimates(spectrum, 1)[0][0]
+        assert jackknife_shrinkage(X, mode, 1).plugin == expected
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_many_blocks_jackknife_plugin_is_fit_shrinkage(
+        self, case, mode, many_blocks
+    ):
+        X = self.matrix(self.SHAPES[case])
+        plugin = jackknife_shrinkage(X, mode, 1).plugin
+        assert plugin == fit(X, mode, k=1).shrinkage[0]
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_many_blocks_degenerate_input(self, case, many_blocks):
+        p, n = self.SHAPES[case]
+        X = self.matrix((p, n)).values.copy()
+        X[-1] = 4.0  # a constant row in the last row block
+        with pytest.raises(DegenerateVariable) as info:
+            fit(DataMatrix(X), "center_scale", k=1)
+        assert info.value.row == p - 1
+        with pytest.raises(DegenerateMatrix, match="all-zero"):
+            fit(DataMatrix(np.full((p, n), 2.5)), "center", k=1)
+        with pytest.raises(DegenerateMatrix, match="all-zero"):
+            fit(DataMatrix(np.zeros((p, n))), "none", k=1)
+
+    def test_prep_for_another_p_rejected(self):
+        X = self.matrix(self.SHAPES["gram"])
+        prep = standardize(DataMatrix(X.values[:-1]), "center")[1]
+        with pytest.raises(DimensionError, match="preprocessing is for p=89"):
+            sample_eigen(X, 1, prep=prep)
+
+    def test_multi_block_fit_holds_no_copy(self, monkeypatch):
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**16)
+        rng = np.random.default_rng(3)
+        X = DataMatrix(rng.standard_normal((100_000, 64)) + 1.0)
+        tracemalloc.start()
+        try:
+            fit(X, "center", k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.values.nbytes / 2
 
 
 class TestScores:

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from spikepca import (
     write_matrix,
     write_model,
 )
+import spikepca.matrix_io
 from spikepca.matrix_io import (
     _csv,
     _fmt,
@@ -272,6 +274,23 @@ class TestDataMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ParseError):
             DataMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("row", [0, 937, 1999])
+    def test_finiteness_checked_in_blocks(self, monkeypatch, row):
+        # every row block is checked, the last one included, and no
+        # p x n boolean temporary (values.size bytes) is made
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**12)
+        values = np.ones((2000, 500))
+        tracemalloc.start()
+        try:
+            DataMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.size // 4
+        values[row, -1] = np.nan
+        with pytest.raises(ParseError, match="data matrix contains non-finite entries"):
+            DataMatrix(values)
 
 
 class TestStandardize:
@@ -706,6 +725,26 @@ class TestModelPersistence:
         write_model(fitted, path)
         edit_model_cell(path, section, row, col, value)
         with pytest.raises(FormatError, match=rf"\[{section}\]"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "mode, section, row, value, message",
+        [
+            ("center_scale", "scales", 0, "-1", r"scale -1 in \[scales\] line 1 is not"),
+            ("center", "scales", 2, "0", r"scale 0 in \[scales\] line 3 is not pos"),
+            ("none", "means", 1, "0.5", r"mean 0.5 in \[means\] line 2 is not 0"),
+            ("none", "scales", 0, "2", r"scale 2 in \[scales\] line 1 is not 1"),
+        ],
+    )
+    def test_invalid_preprocessing_rejected(
+        self, tmp_path, mode, section, row, value, message
+    ):
+        # statistics that Preprocessing refuses are a malformed file, not
+        # a bare ValueError from the model's construction
+        path = tmp_path / "model.spca"
+        write_model(fit(gen_two_spike(10, 0.5, seed=42), mode=mode, k=1), path)
+        edit_model_cell(path, section, row, 0, value)
+        with pytest.raises(FormatError, match=message):
             read_model(path)
 
     @pytest.mark.parametrize("value", ["0", "-0.5", "1e-300", "0.58", "1.5"])

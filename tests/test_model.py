@@ -33,6 +33,7 @@ from spikepca import (
     standardize,
     write_model,
 )
+import spikepca.matrix_io
 import spikepca.model
 from spikepca.model import component_estimates
 from spikepca.simulate import gen_two_spike, standard_normal, substream
@@ -220,6 +221,14 @@ class TestPredict:
         _, model = two_spike_model
         new = np.zeros((model.p, 2))
         new[3, 1] = np.nan
+        with pytest.raises(DomainError, match="new samples contain non-finite values"):
+            predict(model, new)
+
+    def test_non_finite_in_last_block_rejected(self, two_spike_model, monkeypatch):
+        _, model = two_spike_model
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 8)
+        new = np.zeros((model.p, 4))
+        new[-1, -1] = np.inf
         with pytest.raises(DomainError, match="new samples contain non-finite values"):
             predict(model, new)
 
@@ -472,8 +481,8 @@ class TestSpectrumFirstFit:
         counts = []
         original = spikepca.model.sample_eigen
 
-        def recording(X, k):
-            eig = original(X, k)
+        def recording(X, k, **kwargs):
+            eig = original(X, k, **kwargs)
             counts.append(eig.U.shape[1])
             return eig
 

@@ -156,6 +156,27 @@ class TestAngles:
         assert eigenvector_angle(lam, gamma) < 1e-3
         assert score_angle(lam, gamma) < 1e-3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1e300])
+    @pytest.mark.parametrize(
+        "spike",
+        # 1.3407807929942597e154 is the first double whose square overflows
+        [1e154, math.sqrt(1.7976931348623157e308), 1.3407807929942597e154, 1e200,
+         math.inf],
+    )
+    def test_huge_spike_keeps_its_bits_without_overflow(self, spike, gamma):
+        # past sqrt(DBL_MAX) the square of spike - 1 overflows, and the
+        # gamma / (spike - 1)^2 term is the 0 that dividing by the infinite
+        # square gave; the 1 + gamma / (spike - 1) denominator still counts
+        x = np.float64(spike)
+        with np.errstate(over="ignore"):
+            corr = math.sqrt(1 - gamma / (x - 1) ** 2)
+            angle = math.sqrt((1 - gamma / (x - 1) ** 2) / (1 + gamma / (x - 1)))
+        assert score_angle(x, gamma) == corr
+        assert eigenvector_angle(x, gamma) == angle
+        if gamma == 1e300 and spike == 1e200:
+            assert angle == pytest.approx(1e-50, rel=1e-12)
+
     def test_score_angle_dominates_eigenvector_angle(self):
         for gamma in GAMMA_GRID:
             for mult in [1.1, 2.0, 10.0]:
