@@ -4,7 +4,9 @@ The CSV parse and the simulation replicates both fill the rows of one
 float64 array independently of each other. fill_rows splits the rows
 into contiguous blocks and hands all but the first to children made with
 os.fork, each writing its rows into one shared buffer. Their work holds
-the GIL, so threads would not overlap it.
+the GIL, so threads would not overlap it. openblas loads the OpenBLAS
+bundled with numpy once, for the thread-count hook here and for the
+LAPACK routines eigen calls directly.
 """
 
 from __future__ import annotations
@@ -73,21 +75,25 @@ def fill_rows(rows: int, width: int, limit: int, work) -> np.ndarray | None:
 
 
 @functools.cache
-def _openblas_threads():
-    """The bundled OpenBLAS's thread-count getter and setter, or None
-    when numpy carries no library that exports them."""
+def openblas(*names):
+    """The named functions of the OpenBLAS bundled with numpy, as ctypes
+    functions in the order given, or None when numpy carries no library
+    that exports them all."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
+            return tuple(getattr(lib, name) for name in names)
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
+
+
+def _openblas_threads():
+    """The bundled OpenBLAS's thread-count getter and setter, or None."""
+    return openblas(
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
+    )
 
 
 @contextlib.contextmanager

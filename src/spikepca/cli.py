@@ -94,6 +94,12 @@ def _cmd_fit(args) -> int:
     )
     if not model.spectrum.converged:
         print("warning: rescaling did not converge", file=sys.stderr)
+    if args.k != "auto" and model.k < args.k:
+        print(
+            f"warning: kept {model.k} of the {args.k} requested components; "
+            f"the covariance has numerical rank {model.k}",
+            file=sys.stderr,
+        )
     return 0
 
 

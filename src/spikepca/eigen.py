@@ -8,8 +8,12 @@ _covariance_eigh, and the jackknife's downdate reads its basis through
 _scatter_coordinates. Given a Preprocessing, the product and the
 eigenvectors are summed over standardized blocks of at most
 matrix_io.BLOCK_CELLS cells, so no standardized copy of X is made.
-Eigenvector signs are fixed (largest-magnitude entry positive, ties to
-the lowest index) so results are reproducible byte for byte.
+sample_eigen tridiagonalizes once, keeps every eigenvalue and
+back-transforms only the eigenvectors it keeps (descending_eigh's
+count); the jackknife, whose downdate needs the whole basis, takes
+every eigenvector from np.linalg.eigh. Eigenvector signs are fixed
+(largest-magnitude entry positive, ties to the lowest index) so results
+are reproducible byte for byte.
 downdate_leading gives the leading eigenvalues of
 diagonal-minus-rank-one matrices, the jackknife's leave-one-out
 replicates, by the secular equation.
@@ -17,12 +21,14 @@ replicates, by the secular equation.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionError
+from . import _workers
+from .errors import DegenerateMatrix, DimensionError, DomainError
 from .matrix_io import DataMatrix, Preprocessing, blocks
 
 # Eigenvalues below RANK_TOL * d_1 are treated as numerical zeros: they are
@@ -61,7 +67,9 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def descending_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def descending_eigh(
+    M: np.ndarray, count: int | Callable[[np.ndarray], int] | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of a symmetric matrix under the package's rank rule.
 
     Returns (d, V, rank): eigenvalues in non-increasing order (stable
@@ -69,15 +77,119 @@ def descending_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     eigenvectors as columns in the same order, and the numerical rank,
     the count of eigenvalues left positive. Raises DegenerateMatrix
     when the rank is zero.
+
+    Without ``count`` V holds every eigenvector, from np.linalg.eigh.
+    With it, V holds the first min(count, rank) only; ``count`` is an
+    int or a function of d returning one, called once before any
+    eigenvector is built. The decomposition is then LAPACK's dsytrd,
+    dstedc and a dormtr over the kept columns alone, the steps of the
+    dsyevd that np.linalg.eigh runs, so d keeps eigh's bits
+    (_tridiagonal_eigh).
     """
-    w, V = np.linalg.eigh(M)
+    routines = None
+    if count is not None and _SAFE_MIN <= max(M.max(), -M.min()) <= _SAFE_MAX:
+        routines = _lapack_routines()
+    if routines is None:
+        w, V = np.linalg.eigh(M)
+    else:
+        w, V, back_transform = _tridiagonal_eigh(M, routines)
     order = np.argsort(w, kind="stable")[::-1]
     d = w[order]
     d = np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
     rank = int(np.count_nonzero(d > 0))
     if rank == 0:
         raise DegenerateMatrix("matrix has no positive eigenvalues")
-    return d, V[:, order], rank
+    if count is not None:
+        order = order[: min(count(d) if callable(count) else count, rank)]
+    V = V[:, order]
+    return d, V if routines is None else back_transform(V), rank
+
+
+# dsyevd scales a matrix whose largest |entry| lies outside [_SAFE_MIN,
+# _SAFE_MAX] before it tridiagonalizes; descending_eigh leaves those to eigh
+_SMLNUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_SAFE_MIN, _SAFE_MAX = float(np.sqrt(_SMLNUM)), float(np.sqrt(1 / _SMLNUM))
+# Fortran arguments, all by reference: c a character, i a 64-bit integer
+# (info last), a an array; each character's length follows, by value
+_LAPACK = {
+    "scipy_dsytrd_64_": "ciaiaaaaii",
+    "scipy_dstedc_64_": "ciaaaiaiaii",
+    "scipy_dormtr_64_": "ccciiaiaaiaii",
+}
+_CTYPES = {
+    "c": ctypes.c_char_p,
+    "i": ctypes.POINTER(ctypes.c_int64),
+    "a": ctypes.c_void_p,
+}
+
+
+def _lapack_routines():
+    """dsytrd, dstedc and dormtr of numpy's bundled OpenBLAS with their
+    argument types declared, or None where it does not export them."""
+    routines = _workers.openblas(*_LAPACK)
+    for routine, signature in zip(routines or (), _LAPACK.values()):
+        lengths = [ctypes.c_size_t] * signature.count("c")
+        routine.argtypes = [_CTYPES[c] for c in signature] + lengths
+        routine.restype = None
+    return routines
+
+
+def _tridiagonal_eigh(M, routines):
+    """(w, Z, back_transform): the ascending eigenvalues of M, the
+    eigenvectors Z of its tridiagonal form T = Q'MQ, and the map of
+    columns of Z to eigenvectors QZ of M. These are the steps of
+    LAPACK's dsyevd on the lower triangle of a Fortran-order copy, as
+    np.linalg.eigh runs it, with the back-transformation (dormtr) done
+    for the caller's columns instead of all n."""
+    n = M.shape[0]
+    dsytrd, dstedc, dormtr = routines
+    A = np.array(M, dtype=np.float64, order="F")
+    w, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    work = _workspace(dsytrd, "L", n, A, n, w, e, tau)
+    _lapack(dsytrd, "L", n, A, n, w, e, tau, work, work.size)
+    Z = np.empty((n, n), order="F")
+    query = (np.empty(1), -1, np.empty(1, dtype=np.int64), -1)
+    _lapack(dstedc, "I", n, w, e, Z, n, *query)
+    work = np.empty(int(query[0][0]))
+    iwork = np.empty(int(query[2][0]), dtype=np.int64)
+    _lapack(dstedc, "I", n, w, e, Z, n, work, work.size, iwork, iwork.size)
+
+    def back_transform(columns):
+        C = np.array(columns, order="F")
+        k = C.shape[1]
+        work = _workspace(dormtr, "L", "L", "N", n, k, A, n, tau, C, n)
+        _lapack(dormtr, "L", "L", "N", n, k, A, n, tau, C, n, work, work.size)
+        return C
+
+    return w, Z, back_transform
+
+
+def _workspace(routine, *args) -> np.ndarray:
+    """The optimal work array of a LAPACK routine, from its lwork = -1 query."""
+    size = np.empty(1)
+    _lapack(routine, *args, size, -1)
+    return np.empty(max(int(size[0]), 1))
+
+
+def _lapack(routine, *args) -> None:
+    """Call a Fortran LAPACK routine of the ILP64 OpenBLAS: each str as
+    a character with its hidden length appended after info, each int as
+    a 64-bit integer and each array as a pointer, all by reference.
+    Raises np.linalg.LinAlgError when info is not 0."""
+    info = ctypes.c_int64(0)
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, str):
+            refs.append(ctypes.c_char_p(a.encode()))
+            lengths.append(ctypes.c_size_t(1))
+        elif isinstance(a, np.ndarray):
+            refs.append(ctypes.c_void_p(a.ctypes.data))
+        else:
+            refs.append(ctypes.byref(ctypes.c_int64(a)))
+    routine(*refs, ctypes.byref(info), *lengths)
+    if info.value:
+        name = routine.__name__.removeprefix("scipy_").removesuffix("_64_")
+        raise np.linalg.LinAlgError(f"{name} failed with info={info.value}")
 
 
 def sample_eigen(
@@ -90,12 +202,14 @@ def sample_eigen(
     Returns all min(p, n) eigenvalues and the first ``k`` eigenvectors
     (fewer if the numerical rank is smaller). ``k`` is an int or a
     function of the non-increasing eigenvalues returning that int; the
-    function runs after the decomposition and before any eigenvector
-    is built, so callers can choose k from the spectrum. With ``prep``,
-    the covariance is that of prep.apply(X.values), taken one
+    function runs after the eigenvalues are found and before any
+    eigenvector is built, so callers can choose k from the spectrum,
+    and only those k are built (descending_eigh's count). With
+    ``prep``, the covariance is that of prep.apply(X.values), taken one
     standardized block at a time. Raises DimensionError for k outside
-    [1, min(p, n)] or a prep for another p, and DegenerateMatrix for a
-    matrix that is all zero (after prep).
+    [1, min(p, n)] or a prep for another p, DegenerateMatrix for a
+    matrix that is all zero (after prep), and DomainError for a
+    covariance that overflows a double.
     """
     m = min(X.p, X.n)
     if not callable(k):
@@ -104,13 +218,15 @@ def sample_eigen(
         raise DimensionError(
             f"preprocessing is for p={prep.p} variables, matrix has p={X.p}"
         )
+
+    def count(d):
+        kept = k(d) if callable(k) else k
+        _check_k(kept, m)
+        return kept
+
     A = X.values
-    d, V, rank = _covariance_eigh(A, prep)
-    if callable(k):
-        k = k(d)
-        _check_k(k, m)
-    U = _eigenvectors(A, d, V, min(k, rank), prep)
-    return SampleEigen(d=d, U=U, gamma=X.p / X.n)
+    d, V, _ = _covariance_eigh(A, prep, count)
+    return SampleEigen(d=d, U=_eigenvectors(A, d, V, prep), gamma=X.p / X.n)
 
 
 def _standardized(A: np.ndarray, prep: Preprocessing, rows: bool):
@@ -141,24 +257,38 @@ def _identity(prep: Preprocessing | None) -> bool:
 
 
 def _covariance_eigh(
-    A: np.ndarray, prep: Preprocessing | None = None
+    A: np.ndarray, prep: Preprocessing | None = None, count=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """descending_eigh of the sample covariance Z Z' / n of the p x n
-    matrix Z = prep.apply(A) (A itself without prep or under mode none).
+    """descending_eigh(M, count) of the sample covariance M = Z Z' / n
+    of the p x n matrix Z = prep.apply(A) (A itself without prep or
+    under mode none).
 
     It takes the p x p covariance when p <= n, else the n x n Gram
     matrix Z'Z / n, whose nonzero eigenvalues are the covariance's;
     _eigenvectors and _scatter_coordinates read V by the same rule. A
     standardized Z is never formed whole: its product is summed over
     column blocks (covariance) or row blocks (Gram). Raises
-    DegenerateMatrix for an all-zero Z.
+    DegenerateMatrix for an all-zero Z, and DomainError for a product
+    that overflows a double, before any decomposition.
     """
     p, n = A.shape
     gram = p > n
-    if _identity(prep):
-        if not A.any():
-            raise DegenerateMatrix("cannot decompose an all-zero matrix")
-        return descending_eigh(A.T @ A / n if gram else A @ A.T / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _identity(prep):
+            if not A.any():
+                raise DegenerateMatrix("cannot decompose an all-zero matrix")
+            M = A.T @ A / n if gram else A @ A.T / n
+        else:
+            M = _blocked_product(A, prep, gram)
+            M /= n
+    if not np.isfinite(M).all():
+        raise DomainError("the sample covariance overflows a double")
+    return descending_eigh(M, count)
+
+
+def _blocked_product(A: np.ndarray, prep: Preprocessing, gram: bool) -> np.ndarray:
+    """Z'Z (gram) or Z Z' of Z = prep.apply(A), summed over its
+    standardized row (gram) or column blocks."""
     M = partial = None
     nonzero = False
     for _, Z in _standardized(A, prep, rows=gram):
@@ -172,24 +302,22 @@ def _covariance_eigh(
             M += np.matmul(left, right, out=partial)
     if not nonzero:
         raise DegenerateMatrix("cannot decompose an all-zero matrix")
-    del partial
-    M /= n
-    return descending_eigh(M)
+    return M
 
 
 def _eigenvectors(
-    A: np.ndarray, d: np.ndarray, V: np.ndarray, k: int,
-    prep: Preprocessing | None = None,
+    A: np.ndarray, d: np.ndarray, V: np.ndarray, prep: Preprocessing | None = None
 ) -> np.ndarray:
-    """The first k covariance eigenvectors (k at most the rank) from
-    _covariance_eigh(A, prep)'s d and V, signs fixed: V's columns on
+    """The covariance eigenvectors of _covariance_eigh(A, prep)'s d and
+    V, one per column of V (at most the rank), signs fixed: V itself on
     the covariance side, Z h / sqrt(n d) on the Gram side, built over
     the row blocks of Z = prep.apply(A)."""
     p, n = A.shape
+    k = V.shape[1]
     if p <= n:
-        U = np.array(V[:, :k])
+        U = np.array(V, order="C")
     else:
-        H = V[:, :k] / np.sqrt(n * d[:k])
+        H = V / np.sqrt(n * d[:k])
         if _identity(prep):
             U = A @ H
         else:

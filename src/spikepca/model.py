@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     FormatError,
     NotIdentifiable,
+    SpikePcaError,
 )
 from .matrix_io import (
     MODES,
@@ -303,9 +304,11 @@ def _check_preprocessing(mode: str, means: np.ndarray, scales: np.ndarray) -> No
 def read_model(path) -> FittedPcModel:
     """Read a model written by write_model. Inverse up to exact floats.
 
-    The estimates are derived from the file's spectrum, as fit() derives
-    them; a spike lambda_hat not above 1, or an [adjustment] cell that
-    differs from its derived value (nan matching nan), is a FormatError.
+    The spectrum is derived again from the [eigenvalues] d column, and
+    the estimates from it, as fit() derives them. A stored d_hat,
+    lambda_hat, tau, k_spikes, iterations, converged or gamma that
+    differs from the derived one, or an [adjustment] cell that differs
+    from its derived value (nan matching nan), is a FormatError.
     """
     try:
         text = Path(path).read_text()
@@ -394,25 +397,37 @@ def read_model(path) -> FittedPcModel:
     d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
     U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
     stored = table("adjustment", k, 3)
-    for v, lam in enumerate(lambda_hat[:k_spikes]):
-        if not lam > 1:
+    try:
+        spectrum = rescale_eigenvalues(d, p, n)
+    except SpikePcaError as exc:
+        raise FormatError(f"bad d column in [eigenvalues]: {exc}") from None
+    for name, value, expected in (
+        ("d_hat", d_hat, spectrum.d_hat),
+        ("lambda_hat", lambda_hat, spectrum.lambda_hat),
+        ("tau", tau, spectrum.tau),
+        ("k_spikes", k_spikes, spectrum.k),
+        ("iterations", iterations, spectrum.iterations),
+        ("converged", converged == "true", spectrum.converged),
+        ("gamma", gamma, spectrum.gamma),
+    ):
+        where = "[meta]"
+        if np.ndim(value):
+            lines = np.flatnonzero(value != expected)
+            if not lines.size:
+                continue
+            kind = "spike" if lines[0] < spectrum.k else "noise"
+            name, where = f"{kind} {name}", f"[eigenvalues] line {lines[0] + 1}"
+            value, expected = value[lines[0]], expected[lines[0]]
+        if value != expected:
             raise FormatError(
-                f"spike lambda_hat {_fmt(lam)} in [eigenvalues] line {v + 1} "
-                "is not above 1"
+                f"{name} {_fmt(value)} in {where} is not {_fmt(expected)}, "
+                "the value the [eigenvalues] d column gives"
             )
 
     model = FittedPcModel(
         prep=Preprocessing(mode, means, scales),
         eig=SampleEigen(d=d, U=U, gamma=gamma),
-        spectrum=RescaledSpectrum(
-            d_hat=d_hat,
-            lambda_hat=lambda_hat,
-            k=k_spikes,
-            tau=tau,
-            gamma=gamma,
-            iterations=iterations,
-            converged=converged == "true",
-        ),
+        spectrum=spectrum,
         n_samples=n,
     )
     derived = np.column_stack([getattr(model, name) for name in ESTIMATES[:3]])
@@ -484,7 +499,7 @@ def jackknife_shrinkage(
         )
     plugin = float(component_estimates(spectrum, component)[0][component - 1])
     # a spike's eigenvalue is positive, so component <= the rank
-    sample_row = project(_eigenvectors(A, d, V, component), A)[component - 1]
+    sample_row = project(_eigenvectors(A, d, V[:, :component]), A)[component - 1]
     mean_sq_sample = float(np.mean(sample_row**2))
 
     if mode == "center_scale":

@@ -114,6 +114,29 @@ class TestFit:
         assert "warning" not in stuck_out
         assert stuck_out.splitlines()[0] == out.splitlines()[0]
 
+    def test_overflowing_covariance_exits_3_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        values = np.random.default_rng(0).standard_normal((6, 5)) * 1e200
+        write_matrix(DataMatrix(values), path)
+        code, out, err = run_cli(capsys, "fit", str(path), "--mode", "none", "--k", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: the sample covariance overflows a double\n"
+
+    def test_warns_when_the_rank_keeps_fewer_than_k(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "rank2.csv"
+        write_matrix(DataMatrix(rng.standard_normal((50, 2)) @ rng.standard_normal((2, 12))), path)
+        code, out, err = run_cli(capsys, "fit", str(path), "--mode", "none", "--k", "4")
+        assert code == 0
+        assert err.splitlines()[-1] == (
+            "warning: kept 2 of the 4 requested components; "
+            "the covariance has numerical rank 2"
+        )
+        # the rows are those of --k 2, which keeps every component asked for
+        code, kept, kept_err = run_cli(capsys, "fit", str(path), "--mode", "none", "--k", "2")
+        assert code == 0 and out == kept
+        assert "kept" not in kept_err
+
 
 class TestPredict:
     @pytest.fixture()

@@ -11,6 +11,7 @@ from spikepca import (
     DegenerateMatrix,
     DegenerateVariable,
     DimensionError,
+    DomainError,
     fit,
     gen_two_spike,
     jackknife_shrinkage,
@@ -19,6 +20,7 @@ from spikepca import (
     sample_eigen,
     standardize,
 )
+import spikepca._workers
 import spikepca.eigen
 import spikepca.matrix_io
 import spikepca.model
@@ -150,17 +152,16 @@ class TestBoundaryShapes:
 
 def standardized_eigen(X, mode, k):
     """fit's d and U the plain way: a standardized copy, one product and
-    np.linalg.eigh, under the package's order, rank and sign rules."""
+    descending_eigh's k kept vectors, under the package's sign rule."""
     A = standardize(X, mode)[0].values
     p, n = A.shape
-    w, V = np.linalg.eigh(A @ A.T / n if p <= n else A.T @ A / n)
-    order = np.argsort(w, kind="stable")[::-1]
-    d, V = w[order], V[:, order]
-    d = np.where(d < spikepca.eigen.RANK_TOL * max(d[0], 0.0), 0.0, d)
+    M = A @ A.T / n if p <= n else A.T @ A / n
+    d, V, _ = spikepca.eigen.descending_eigh(M, k)
+    k = V.shape[1]
     if p <= n:
-        U = np.array(V[:, :k], order="C")
+        U = np.array(V, order="C")
     else:
-        U = A @ (V[:, :k] / np.sqrt(n * d[:k]))
+        U = A @ (V / np.sqrt(n * d[:k]))
     flip = U[np.argmax(np.abs(U), axis=0), np.arange(k)] < 0
     U[:, flip] *= -1.0
     return d, U
@@ -264,6 +265,120 @@ class TestStreamedStandardization:
         finally:
             tracemalloc.stop()
         assert peak < X.values.nbytes / 2
+
+
+HAS_LAPACK = spikepca._workers.openblas(*spikepca.eigen._LAPACK) is not None
+
+
+class TestDescendingEigh:
+    """With a count, descending_eigh tridiagonalizes once (dsytrd), solves
+    the tridiagonal problem (dstedc) and back-transforms only the kept
+    vectors (dormtr): np.linalg.eigh's eigenvalues, bit for bit."""
+
+    @staticmethod
+    def matrix(n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "ties":
+            return np.eye(n)
+        if kind == "rank_deficient":
+            B = rng.standard_normal((n, max(n // 3, 1)))
+        elif kind == "spread":
+            B = rng.standard_normal((n, n + 2)) * np.logspace(0, 3, n)[:, None]
+        else:
+            B = rng.standard_normal((n, n + 2))
+        return B @ B.T / B.shape[1]
+
+    @staticmethod
+    def eigh_reference(M):
+        """np.linalg.eigh under the package's order and rank rules."""
+        w, V = np.linalg.eigh(M)
+        order = np.argsort(w, kind="stable")[::-1]
+        d = w[order]
+        d = np.where(d < spikepca.eigen.RANK_TOL * max(d[0], 0.0), 0.0, d)
+        return d, V[:, order], int(np.count_nonzero(d > 0))
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "rank_deficient", "spread"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 25, 26, 64, 200, 300])
+    def test_matches_eigh(self, n, kind):
+        M = self.matrix(n, kind)
+        count = n if kind == "rank_deficient" else 3
+        d, V, rank = spikepca.eigen.descending_eigh(M, count)
+        d_ref, V_ref, rank_ref = self.eigh_reference(M)
+        assert d.tobytes() == d_ref.tobytes()
+        assert rank == rank_ref
+        k = min(count, rank)
+        assert V.shape == (n, k)
+        signs = np.sign(np.sum(V * V_ref[:, :k], axis=0))
+        assert np.abs(V * signs - V_ref[:, :k]).max() <= 1e-13
+        assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_entries_that_dsyevd_scales_match_eigh(self, scale):
+        # outside the range dsyevd leaves unscaled, eigh decomposes M whole
+        M = self.matrix(26, "random") * scale
+        d, V, rank = spikepca.eigen.descending_eigh(M, 2)
+        d_ref, V_ref, _ = self.eigh_reference(M)
+        assert d.tobytes() == d_ref.tobytes() and rank == 26
+        signs = np.sign(np.sum(V * V_ref[:, :2], axis=0))
+        assert np.abs(V * signs - V_ref[:, :2]).max() <= 1e-13
+
+    @pytest.mark.skipif(not HAS_LAPACK, reason="numpy's OpenBLAS lacks the LAPACK symbols")
+    def test_callable_count_runs_once_before_any_vector(self, monkeypatch):
+        calls = []
+        routines = spikepca._workers.openblas(*spikepca.eigen._LAPACK)
+
+        def logged(routine):
+            def call(*args):
+                calls.append(routine.__name__)
+                return routine(*args)
+
+            call.__name__ = routine.__name__
+            return call
+
+        monkeypatch.setattr(
+            spikepca._workers, "openblas", lambda *names: tuple(map(logged, routines))
+        )
+
+        def count(d):
+            calls.append("count")
+            return 2
+
+        d, V, _ = spikepca.eigen.descending_eigh(self.matrix(64, "random"), count)
+        assert V.shape == (64, 2)
+        assert calls.count("count") == 1
+        first = calls.index("count")
+        assert "scipy_dormtr_64_" not in calls[:first]
+        assert set(calls[first + 1 :]) == {"scipy_dormtr_64_"}
+
+    @pytest.mark.parametrize("kind", ["random", "spread"])
+    @pytest.mark.parametrize("n", [26, 200])
+    def test_without_the_library_eigh_gives_the_same_eigenvalues(
+        self, n, kind, monkeypatch
+    ):
+        M = self.matrix(n, kind)
+        d, V, rank = spikepca.eigen.descending_eigh(M, 3)
+        monkeypatch.setattr(spikepca._workers, "openblas", lambda *names: None)
+        d_eigh, V_eigh, rank_eigh = spikepca.eigen.descending_eigh(M, 3)
+        assert d.tobytes() == d_eigh.tobytes() and rank == rank_eigh
+        assert V_eigh.shape == V.shape
+        signs = np.sign(np.sum(V * V_eigh, axis=0))
+        assert np.abs(V * signs - V_eigh).max() <= 1e-13
+
+
+class TestOverflow:
+    """A finite matrix whose covariance overflows a double is a numerical
+    error, raised before any decomposition and with no warning."""
+
+    @staticmethod
+    def matrix():
+        return DataMatrix(np.random.default_rng(0).standard_normal((6, 5)) * 1e200)
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    def test_fit_and_jackknife_raise_domain_error(self, mode):
+        with pytest.raises(DomainError, match="sample covariance overflows a double"):
+            fit(self.matrix(), mode, k=1)
+        with pytest.raises(DomainError, match="sample covariance overflows a double"):
+            jackknife_shrinkage(self.matrix(), mode, 1)
 
 
 class TestScores:

@@ -810,6 +810,60 @@ class TestModelPersistence:
             ):
                 read_model(path)
 
+    def test_edited_spectrum_with_matching_adjustment_rejected(self, fitted, tmp_path):
+        # a spike lambda_hat edited together with its [adjustment] cells
+        # agrees with itself but not with the d column it came from
+        assert fitted.k_spikes == 1
+        lam = fitted.spectrum.lambda_hat[0] * 1.01
+        cells = (
+            spikepca.model._shrinkage(lam, fitted.gamma),
+            spikepca.model.score_angle(lam, fitted.gamma),
+            spikepca.model.eigenvector_angle(lam, fitted.gamma),
+        )
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        edit_model_cell(path, "eigenvalues", 0, 2, _fmt(lam))
+        for col, value in enumerate(cells):
+            edit_model_cell(path, "adjustment", 0, col, _fmt(value))
+        message = (
+            rf"spike lambda_hat {re.escape(_fmt(lam))} in \[eigenvalues\] line 1 is not "
+            rf"{re.escape(_fmt(fitted.spectrum.lambda_hat[0]))}, the value the "
+            r"\[eigenvalues\] d column gives"
+        )
+        with pytest.raises(FormatError, match=message):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("iterations={}\n", "iterations=1\n", r"^iterations 1 in \[meta\] is not"),
+            ("converged=true", "converged=false", r"^converged false in \[meta\]"),
+            ("k_spikes=1", "k_spikes=2", r"^k_spikes 2 in \[meta\] is not 1,"),
+            ("gamma=0.5", "gamma=0.25", r"^gamma 0.25 in \[meta\] is not 0.5,"),
+        ],
+    )
+    def test_meta_disagreeing_with_spectrum_rejected(
+        self, fitted, tmp_path, old, new, message
+    ):
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        text = path.read_text()
+        old = old.format(fitted.spectrum.iterations)
+        assert old in text and fitted.spectrum.iterations > 1
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError, match=message):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "value, message", [("100", "non-increasing"), ("-1", "negative")]
+    )
+    def test_bad_d_column_rejected(self, fitted, tmp_path, value, message):
+        path = tmp_path / "model.spca"
+        write_model(fitted, path)
+        edit_model_cell(path, "eigenvalues", 2, 0, value)
+        with pytest.raises(FormatError, match=rf"bad d column in \[eigenvalues\]: .*{message}"):
+            read_model(path)
+
     @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
     @pytest.mark.parametrize("k", ["auto", 1, 3])
     @pytest.mark.parametrize("gamma, n, seed", [(0.5, 10, 1), (1.0, 40, 2), (4.0, 12, 3)])

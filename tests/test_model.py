@@ -10,7 +10,6 @@ from spikepca import (
     DataMatrix,
     FittedPcModel,
     Preprocessing,
-    RescaledSpectrum,
     SampleEigen,
     DegenerateMatrix,
     DegenerateRegressor,
@@ -28,11 +27,14 @@ from spikepca import (
     pcr_predict,
     predict,
     read_model,
+    rescale_eigenvalues,
     sample_eigenvalue_limit,
     shrinkage_factor,
     standardize,
     write_model,
 )
+import spikepca._workers
+import spikepca.eigen
 import spikepca.matrix_io
 import spikepca.model
 from spikepca.model import component_estimates
@@ -137,32 +139,27 @@ class TestFit:
 
 class TestSpikeRule:
     def test_spike_at_the_edge_is_flagged_and_persists(self, tmp_path):
-        # one ulp above the noise edge, d_hat debiases to exactly the
-        # detection threshold: still one of the spectrum's k spikes
-        gamma = 0.16003500875218807
-        edge = 1.9601225258456323
+        # a d whose rescaling leaves d_hat_2 one ulp above the noise edge,
+        # where it debiases to exactly the detection threshold: still one
+        # of the spectrum's k spikes, and a model file the reader derives
+        p, n = 8, 50
+        gamma = p / n
+        d = np.array([6.0, 1.209559715435315] + [0.5] * 6)
+        spectrum = rescale_eigenvalues(d, p, n)
+        edge = spectrum.d_hat[1]
         assert edge == np.nextafter((1 + math.sqrt(gamma)) ** 2, np.inf)
         assert debias_eigenvalue(edge, gamma) == detection_threshold(gamma)
-        d_hat = np.array([4.0, edge, 1.0])
-        lambda_hat = [debias_eigenvalue(d, gamma) for d in d_hat[:2]] + [1.0]
-        spectrum = RescaledSpectrum(
-            d_hat=d_hat,
-            lambda_hat=np.array(lambda_hat),
-            k=2,
-            tau=3.0,
-            gamma=gamma,
-            iterations=2,
-            converged=False,
-        )
+        assert spectrum.lambda_hat[1] == detection_threshold(gamma)
+        assert spectrum.k == 2
         shrink, corr, angle, ident = component_estimates(spectrum, 3)
         np.testing.assert_array_equal(ident, [True, True, False])
         assert shrink[1] == pytest.approx(1 / (1 + math.sqrt(gamma)), rel=1e-15)
         assert np.isfinite(shrink[:2]).all() and np.isnan(shrink[2])
         model = FittedPcModel(
-            prep=Preprocessing("none", np.zeros(3), np.ones(3)),
-            eig=SampleEigen(d=d_hat, U=np.eye(3), gamma=gamma),
+            prep=Preprocessing("none", np.zeros(p), np.ones(p)),
+            eig=SampleEigen(d=d, U=np.eye(p)[:, :3], gamma=gamma),
             spectrum=spectrum,
-            n_samples=19,
+            n_samples=n,
         )
         path = tmp_path / "model.spca"
         write_model(model, path)
@@ -384,6 +381,17 @@ class TestJackknifeDowndate:
             estimate = jackknife_shrinkage(X, mode, 1)
             assert estimate.used + estimate.excluded == X.n
             assert eigh_calls == [(m, m)]
+
+    @pytest.mark.skipif(
+        spikepca._workers.openblas(*spikepca.eigen._LAPACK) is None,
+        reason="numpy's OpenBLAS lacks the LAPACK symbols",
+    )
+    @pytest.mark.parametrize("case", ["gram", "covariance"])
+    def test_fit_makes_no_full_eigendecomposition(self, case, eigh_calls):
+        # fit back-transforms only the vectors it keeps, through LAPACK
+        for mode in ("none", "center", "center_scale"):
+            fit(self.CASES[case], mode, k="auto")
+        assert eigh_calls == []
 
     def test_leading_count_grows_past_the_spikes(self, monkeypatch):
         ks = []
