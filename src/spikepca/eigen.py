@@ -5,9 +5,11 @@ X^T X / n, whose nonzero eigenvalues equal those of the covariance;
 covariance eigenvectors are recovered as X h / sqrt(n d). That choice
 is made in this module alone: sample_eigen and the jackknife share
 _covariance_eigh, and the jackknife's downdate reads its basis through
-_scatter_coordinates. Given a Preprocessing, the product and the
-eigenvectors are summed over standardized blocks of at most
-matrix_io.BLOCK_CELLS cells, so no standardized copy of X is made.
+_scatter_coordinates. _standardized is the one map of data into
+standardized coordinates: the product, the Gram-side eigenvectors, the
+scatter coordinates and project read Z = prep.apply(X) from it in
+blocks of at most matrix_io.BLOCK_CELLS cells, so no standardized copy
+of X is made (under mode none the one block is X itself).
 sample_eigen tridiagonalizes once, keeps every eigenvalue and
 back-transforms only the eigenvectors it keeps (descending_eigh's
 count); the jackknife, whose downdate needs the whole basis, takes
@@ -229,66 +231,60 @@ def sample_eigen(
     return SampleEigen(d=d, U=_eigenvectors(A, d, V, prep), gamma=X.p / X.n)
 
 
-def _standardized(A: np.ndarray, prep: Preprocessing, rows: bool):
-    """prep.apply(A) one block at a time: yields (slice, Z) for each row
-    block (rows true) or column block of A, Z written into one reused
-    buffer of at most BLOCK_CELLS cells."""
+def _standardized(A: np.ndarray, prep: Preprocessing | None, rows: bool):
+    """prep.apply(A) one block at a time: the one map of data into
+    standardized coordinates on the fit, predict and jackknife paths.
+
+    Yields (slice, Z) for each row block (rows true) or column block of
+    A, cut by matrix_io.blocks, Z written into one reused buffer.
+    Without prep, or under mode none, the one block is A itself, made
+    C-contiguous. A column block holds two columns at least, unless A
+    has fewer: a product with one column is a dot or a gemv, which sums
+    in another order than the same column of a wider block.
+    """
+    if prep is None or prep.mode == "none":
+        yield slice(None), np.ascontiguousarray(A)
+        return
     p, n = A.shape
-    width = n if rows else p
-    cuts = blocks(p if rows else n, width)
-    buf = np.empty(cuts[0].stop * width)
+    cuts = blocks(p, n) if rows else blocks(n, p, least=2)
+    buf = np.empty(max(b.stop - b.start for b in cuts) * (n if rows else p))
     means, scales = prep.means[:, None], prep.scales[:, None]
     for b in cuts:
-        size = (b.stop - b.start) * width
-        if rows:
-            Z = buf[:size].reshape(-1, n)
-            np.subtract(A[b], means[b], out=Z)
-        else:
-            Z = buf[:size].reshape(p, -1)
-            np.subtract(A[:, b], means, out=Z)
+        block = A[b] if rows else A[:, b]
+        Z = buf[: block.size].reshape(block.shape)
+        np.subtract(block, means[b] if rows else means, out=Z)
         if prep.mode == "center_scale":  # center divides by 1, exactly
             Z /= scales[b] if rows else scales
         yield b, Z
-
-
-def _identity(prep: Preprocessing | None) -> bool:
-    """True when prep leaves the matrix as it is (none, or mode none)."""
-    return prep is None or prep.mode == "none"
 
 
 def _covariance_eigh(
     A: np.ndarray, prep: Preprocessing | None = None, count=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """descending_eigh(M, count) of the sample covariance M = Z Z' / n
-    of the p x n matrix Z = prep.apply(A) (A itself without prep or
-    under mode none).
+    of the p x n matrix Z = prep.apply(A) (A itself without prep).
 
     It takes the p x p covariance when p <= n, else the n x n Gram
     matrix Z'Z / n, whose nonzero eigenvalues are the covariance's;
-    _eigenvectors and _scatter_coordinates read V by the same rule. A
-    standardized Z is never formed whole: its product is summed over
-    column blocks (covariance) or row blocks (Gram). Raises
-    DegenerateMatrix for an all-zero Z, and DomainError for a product
-    that overflows a double, before any decomposition.
+    _eigenvectors and _scatter_coordinates read V by the same rule. The
+    product is summed over the _standardized column blocks (covariance)
+    or row blocks (Gram) of Z. Raises DegenerateMatrix for an all-zero
+    Z, and DomainError for a product that overflows a double, before
+    any decomposition.
     """
     p, n = A.shape
-    gram = p > n
     with np.errstate(over="ignore", invalid="ignore"):
-        if _identity(prep):
-            if not A.any():
-                raise DegenerateMatrix("cannot decompose an all-zero matrix")
-            M = A.T @ A / n if gram else A @ A.T / n
-        else:
-            M = _blocked_product(A, prep, gram)
-            M /= n
+        M = _blocked_product(A, prep, gram=p > n)
+        M /= n
     if not np.isfinite(M).all():
         raise DomainError("the sample covariance overflows a double")
     return descending_eigh(M, count)
 
 
-def _blocked_product(A: np.ndarray, prep: Preprocessing, gram: bool) -> np.ndarray:
+def _blocked_product(A: np.ndarray, prep, gram: bool) -> np.ndarray:
     """Z'Z (gram) or Z Z' of Z = prep.apply(A), summed over its
-    standardized row (gram) or column blocks."""
+    standardized row (gram) or column blocks. The blocks' buffer is
+    freed on return, before the caller decomposes the product."""
     M = partial = None
     nonzero = False
     for _, Z in _standardized(A, prep, rows=gram):
@@ -313,28 +309,29 @@ def _eigenvectors(
     the covariance side, Z h / sqrt(n d) on the Gram side, built over
     the row blocks of Z = prep.apply(A)."""
     p, n = A.shape
-    k = V.shape[1]
     if p <= n:
-        U = np.array(V, order="C")
-    else:
-        H = V / np.sqrt(n * d[:k])
-        if _identity(prep):
-            U = A @ H
-        else:
-            U = np.empty((p, k))
-            for b, Z in _standardized(A, prep, rows=True):
-                np.matmul(Z, H, out=U[b])
-    return _fix_signs(np.ascontiguousarray(U))
+        return _fix_signs(np.array(V, order="C"))
+    H = V / np.sqrt(n * d[: V.shape[1]])
+    U = np.empty((p, V.shape[1]))
+    for b, Z in _standardized(A, prep, rows=True):
+        np.matmul(Z, H, out=U[b])
+    return _fix_signs(U)
 
 
-def _scatter_coordinates(A: np.ndarray, d: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """W'A for the eigenbasis W of A A' = W diag(n d) W', from
-    _covariance_eigh's d and V: V'A on the covariance side, and
-    sqrt(n d) V' on the Gram side, where A'A = V diag(n d) V'."""
+def _scatter_coordinates(
+    A: np.ndarray, d: np.ndarray, V: np.ndarray, prep: Preprocessing | None = None
+) -> np.ndarray:
+    """W'Z for Z = prep.apply(A) and the eigenbasis W of Z Z' = W
+    diag(n d) W', from _covariance_eigh(A, prep)'s d and V: V'Z over
+    the column blocks of Z on the covariance side, and sqrt(n d) V' on
+    the Gram side, where Z'Z = V diag(n d) V'."""
     p, n = A.shape
-    if p <= n:
-        return V.T @ A
-    return np.sqrt(n * d)[:, None] * V.T
+    if p > n:
+        return np.sqrt(n * d)[:, None] * V.T
+    W = np.empty((V.shape[1], n))
+    for b, Z in _standardized(A, prep, rows=False):
+        np.matmul(V.T, Z, out=W[:, b])
+    return W
 
 
 def _check_k(k: int, m: int) -> None:
@@ -342,16 +339,26 @@ def _check_k(k: int, m: int) -> None:
         raise DimensionError(f"k must be in [1, {m}], got {k}")
 
 
-def project(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Scores U^T X, summed in an order that no BLAS thread count changes.
+def project(
+    U: np.ndarray, X: np.ndarray, prep: Preprocessing | None = None
+) -> np.ndarray:
+    """Scores U^T Z of Z = prep.apply(X) (X itself without prep), summed
+    in an order that no BLAS thread count changes.
 
     OpenBLAS splits the sum over p between threads for some shapes of a
     k x p by p x m product, and for some shapes of a vector-matrix
     product too, so U.T @ X can round differently at 1 and 2 threads.
     einsum sums in numpy's own single-threaded loop, which depends only
-    on the memory layout, fixed here as C order.
+    on the memory layout, fixed here as C order. Each column block of
+    Z gets one einsum over all of p, so a score has the same bits at
+    any block size; a block of one column, whose einsum would be a dot
+    summed in another order, is cut only from a one-column X.
     """
-    return np.einsum("ik,ij->kj", np.ascontiguousarray(U), np.ascontiguousarray(X))
+    U = np.ascontiguousarray(U)
+    scores = np.empty((U.shape[1], X.shape[1]))
+    for b, Z in _standardized(X, prep, rows=False):
+        scores[:, b] = np.einsum("ik,ij->kj", U, Z)
+    return scores
 
 
 def pc_scores(X: DataMatrix, eig: SampleEigen) -> np.ndarray:

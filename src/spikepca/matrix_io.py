@@ -37,11 +37,14 @@ SPLIT_CELLS = 2**18
 BLOCK_CELLS = 2**21
 
 
-def blocks(length: int, width: int) -> list[slice]:
+def blocks(length: int, width: int, least: int = 1) -> list[slice]:
     """Slices cutting ``length`` lines of ``width`` cells each into
-    consecutive blocks of at most BLOCK_CELLS cells (one line at least)."""
-    step = max(1, BLOCK_CELLS // max(width, 1))
-    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+    consecutive blocks of at most BLOCK_CELLS cells, or of ``least``
+    lines where that is more; a last remainder of fewer than ``least``
+    lines joins the block before it."""
+    step = max(least, BLOCK_CELLS // max(width, 1))
+    starts = list(range(0, length - least + 1, step)) or [0]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [length])]
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -140,8 +143,11 @@ class Preprocessing:
         Means, and for center_scale standard deviations with divisor n
         (population form), matching the covariance definition used
         downstream. The deviations are taken one row block at a time, so
-        no p x n temporary is made. Raises DegenerateVariable if a row
-        has zero variance under center_scale.
+        no p x n temporary is made. A row whose mean square overflows, or
+        falls below the normal doubles, is taken again in units of its
+        largest |centered| entry, s sqrt(mean((c / s)^2)).
+        Raises DegenerateVariable if a row has zero variance under
+        center_scale.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -152,9 +158,16 @@ class Preprocessing:
         if mode == "center":
             return cls("center", means, np.ones(X.p))
         sds = np.empty(X.p)
+        normal = np.sqrt(np.finfo(np.float64).tiny)  # least sd with a normal square
         for b in blocks(X.p, X.n):
             centered = A[b] - means[b, None]
-            sds[b] = np.sqrt(np.mean(centered**2, axis=1))
+            with np.errstate(over="ignore", under="ignore"):
+                sd = np.sqrt(np.mean(centered**2, axis=1))
+                for i in np.flatnonzero(~((sd >= normal) & (sd < np.inf))):
+                    s = np.abs(centered[i]).max()
+                    if s > 0:
+                        sd[i] = s * np.sqrt(np.mean((centered[i] / s) ** 2))
+            sds[b] = sd
         bad = np.flatnonzero(sds == 0)
         if bad.size:
             raise DegenerateVariable(

@@ -43,7 +43,7 @@ from .matrix_io import (
     _csv,
     _fmt,
     all_finite,
-    standardize,
+    standardize,  # uncalled: bound for perfbench/tracer.py, until ROADMAP item 1(b)
 )
 from .spiked import (
     RescaledSpectrum,
@@ -197,7 +197,8 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
 
     ``X_new`` is a p x m array (or DataMatrix) in the original,
     unstandardized coordinates; the model's preprocessing is applied to
-    each column before projection.
+    one column block at a time as it is projected (eigen.project), so
+    no standardized copy of X_new is made.
     """
     arr = X_new.values if isinstance(X_new, DataMatrix) else np.asarray(
         X_new, dtype=np.float64
@@ -210,7 +211,7 @@ def predict(model: FittedPcModel, X_new) -> PredictionScores:
         )
     if not all_finite(arr):
         raise DomainError("new samples contain non-finite values")
-    naive = project(model.eig.U, model.prep.apply(arr))
+    naive = project(model.eig.U, arr, model.prep)
     adjusted = naive.copy()
     mask = model.identifiable
     adjusted[mask] = naive[mask] * model.adjustment[mask, None]
@@ -478,18 +479,19 @@ def jackknife_shrinkage(
     a few above the component. The exception is a sample holding nearly
     all of the scatter, whose replicate is refit. center_scale refits
     throughout, because its scales change with each left-out sample.
+    The decomposition, the in-sample scores and the downdate's scatter
+    coordinates all read the standardized matrix in eigen._standardized
+    blocks, as fit() does, so no standardized copy of X is made.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
     if component < 1:
         raise DomainError(f"component must be >= 1, got {component}")
-    Xs, prep = standardize(X, mode)
+    prep = Preprocessing.from_data(X, mode)
     m = min(X.p, X.n)
     if component > m:
         raise DimensionError(f"k must be in [1, {m}], got {component}")
-    # the decomposition of fit(X, mode, k=component), kept for the
-    # downdate; the standardized A gives the scores and the scatter
-    A = Xs.values
+    # the decomposition of fit(X, mode, k=component), kept for the downdate
     d, V, _ = _covariance_eigh(X.values, prep)
     spectrum = rescale_eigenvalues(d, X.p, X.n)
     if component > spectrum.k:
@@ -499,13 +501,13 @@ def jackknife_shrinkage(
         )
     plugin = float(component_estimates(spectrum, component)[0][component - 1])
     # a spike's eigenvalue is positive, so component <= the rank
-    sample_row = project(_eigenvectors(A, d, V[:, :component]), A)[component - 1]
-    mean_sq_sample = float(np.mean(sample_row**2))
+    U = _eigenvectors(X.values, d, V[:, :component], prep)
+    mean_sq_sample = float(np.mean(project(U, X.values, prep)[-1] ** 2))
 
     if mode == "center_scale":
         held_out = np.array([_refit_one(X, mode, component, j) for j in range(X.n)])
     else:
-        held_out = _downdate_replicates(X, A, d, V, mode, component)
+        held_out = _downdate_replicates(X, prep, d, V, component)
     used = held_out[~np.isnan(held_out)]
     if not used.size:
         raise NotIdentifiable(
@@ -536,19 +538,20 @@ DOWNDATE_MIN_SHARE = 1e-3
 
 
 def _downdate_replicates(
-    X: DataMatrix, A: np.ndarray, d: np.ndarray, V: np.ndarray, mode: str,
-    component: int,
+    X: DataMatrix, prep: Preprocessing, d: np.ndarray, V: np.ndarray, component: int
 ) -> np.ndarray:
     """Held-out naive scores from the full-data decomposition; NaN marks an exclusion.
 
-    With A the standardized p x n matrix (columns a_j) and rho = n/(n-1)
-    for center, 1 for none, leaving out sample j gives the replicate
-    scatter (n - 1) S_-j = A A' - rho a_j a_j' (centered columns sum to
-    zero) and the held-out sample z_j = rho a_j. (d, V) is
-    eigen._covariance_eigh(A), so A A' = W diag(lam) W' with lam = n d,
-    and eigen._scatter_coordinates gives W'A on either side. The
-    replicate is then diag(lam) - rho w w' with w = W'a_j and trace
-    sum(lam) - rho |w|^2.
+    With A = prep.apply(X.values), the standardized p x n matrix
+    (columns a_j), and rho = n/(n-1) for mode center, 1 for none,
+    leaving out sample j gives the replicate scatter (n - 1) S_-j =
+    A A' - rho a_j a_j' (centered columns sum to zero) and the held-out
+    sample z_j = rho a_j. (d, V) is eigen._covariance_eigh(X.values,
+    prep), so A A' = W diag(lam) W' with lam = n d, and
+    eigen._scatter_coordinates gives W'A on either side without forming
+    A. The replicate is then diag(lam) - rho w w' with w = W'a_j and
+    trace sum(lam) - rho |w|^2; it is refit when that trace is below
+    DOWNDATE_MIN_SHARE of the full one, sum(lam).
     downdate_leading solves its leading K eigenvalues by the secular
     equation, with the score rho q'w along the component's eigenvector
     q. The rescaling runs on those K plus the trace; K starts a few
@@ -559,19 +562,17 @@ def _downdate_replicates(
     would leave a downdate of nearly equal terms; its replicate is
     refit from X instead.
     """
-    p, n = A.shape
+    p, n = X.p, X.n
     m = n - 1
     k_max = min(p, m)
     if component > k_max:
         raise DimensionError(f"k must be in [1, {k_max}], got {component}")
-    rho = n / m if mode == "center" else 1.0
+    rho = n / m if prep.mode == "center" else 1.0
     v = component - 1
-    norms = np.einsum("ij,ij->j", A, A)
-    total = norms.sum()
-    refit = total - rho * norms < DOWNDATE_MIN_SHARE * total
     lam = n * d
-    W = _scatter_coordinates(A, d, V).T
+    W = _scatter_coordinates(X.values, d, V, prep).T
     traces = lam.sum() - rho * np.einsum("ij,ij->i", W, W)
+    refit = traces < DOWNDATE_MIN_SHARE * lam.sum()
     edge = (1 + math.sqrt(p / m)) ** 2
     held_out = np.full(n, np.nan)
     pending = np.flatnonzero(~refit)
@@ -589,7 +590,7 @@ def _downdate_replicates(
         pending = np.array(grow, dtype=int)
         k = min(2 * k, k_max)
     for j in np.flatnonzero(refit):
-        held_out[j] = _refit_one(X, mode, component, j)
+        held_out[j] = _refit_one(X, prep.mode, component, j)
     return held_out
 
 

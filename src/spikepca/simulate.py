@@ -17,7 +17,7 @@ import numpy as np
 
 from ._workers import fill_rows, one_blas_thread
 # nothing here calls pc_scores: it stays bound for the spikepca.simulate
-# entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 2(b) retires it
+# entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 1(b) retires it
 from .eigen import pc_scores, project, sample_eigen
 from .errors import (
     DegenerateInput,

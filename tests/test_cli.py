@@ -77,6 +77,19 @@ class TestFit:
         assert code == 3
         assert "variance" in err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_center_scale_of_extreme_entries_fits(self, capsys, tmp_path, scale):
+        # the squares of these entries overflow or underflow a double
+        path = tmp_path / "extreme.csv"
+        values = np.random.default_rng(2).standard_normal((6, 5)) * scale
+        write_matrix(DataMatrix(values), path)
+        code, out, err = run_cli(
+            capsys, "fit", str(path), "--mode", "center-scale", "--k", "1"
+        )
+        assert code == 0
+        assert out.startswith("component,")
+        assert "error" not in err
+
     def test_unreadable_matrix_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "fit", str(tmp_path / "missing.csv"))
         assert code == 2

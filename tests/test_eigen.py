@@ -12,6 +12,7 @@ from spikepca import (
     DegenerateVariable,
     DimensionError,
     DomainError,
+    Preprocessing,
     fit,
     gen_two_spike,
     jackknife_shrinkage,
@@ -248,6 +249,37 @@ class TestStreamedStandardization:
         with pytest.raises(DegenerateMatrix, match="all-zero"):
             fit(DataMatrix(np.zeros((p, n))), "none", k=1)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_many_blocks_predict_keeps_its_bytes(
+        self, case, mode, k, order, many_blocks
+    ):
+        # 11 columns leave a last single column, which joins the block
+        # before it: a one-column einsum is a dot, summed in another order
+        X = self.matrix(self.SHAPES[case])
+        model = fit(X, mode, k=k)
+        new = np.asarray(self.matrix((X.p, 11)).values, order=order)
+        one_block = spikepca.eigen.project(model.eig.U, model.prep.apply(new))
+        np.testing.assert_array_equal(predict(model, new).naive, one_block)
+
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("n", [90, 91])
+    def test_scatter_coordinates_match_the_copy(self, n, mode, monkeypatch):
+        X = self.matrix((24, n))
+        prep = Preprocessing.from_data(X, mode)
+        d, V, _ = spikepca.eigen._covariance_eigh(X.values, prep)
+        copy = V.T @ prep.apply(X.values)
+        W = spikepca.eigen._scatter_coordinates(X.values, d, V, prep)
+        np.testing.assert_array_equal(W, copy)
+        # column blocks of 5: OpenBLAS rounds a column of a narrow gemm
+        # differently from the same column of a wide one (mode none is
+        # one block at every size)
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**7)
+        W = spikepca.eigen._scatter_coordinates(X.values, d, V, prep)
+        np.testing.assert_allclose(W, copy, rtol=0, atol=1e-14 * np.abs(copy).max())
+
     def test_prep_for_another_p_rejected(self):
         X = self.matrix(self.SHAPES["gram"])
         prep = standardize(DataMatrix(X.values[:-1]), "center")[1]
@@ -261,6 +293,33 @@ class TestStreamedStandardization:
         tracemalloc.start()
         try:
             fit(X, "center", k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.values.nbytes / 2
+
+    def test_multi_block_jackknife_holds_no_copy(self, monkeypatch):
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**16)
+        rng = np.random.default_rng(3)
+        X = DataMatrix(
+            rng.standard_normal((100_000, 64)) + 10.0 * rng.standard_normal(64)
+        )
+        tracemalloc.start()
+        try:
+            jackknife_shrinkage(X, "center", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.values.nbytes / 2
+
+    def test_multi_block_predict_holds_no_copy(self, monkeypatch):
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**16)
+        rng = np.random.default_rng(3)
+        X = DataMatrix(rng.standard_normal((100_000, 64)) + 1.0)
+        model = fit(X, "center", k=3)
+        tracemalloc.start()
+        try:
+            predict(model, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

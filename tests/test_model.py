@@ -214,6 +214,13 @@ class TestPredict:
         with pytest.raises(DimensionError):
             predict(model, np.zeros((model.p + 1, 2)))
 
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    def test_no_samples_give_no_scores(self, two_spike_model, mode):
+        X, _ = two_spike_model
+        model = fit(X, mode, k=2)
+        pred = predict(model, np.empty((model.p, 0)))
+        assert pred.naive.shape == pred.adjusted.shape == (2, 0)
+
     def test_non_finite_new_samples_rejected(self, two_spike_model):
         _, model = two_spike_model
         new = np.zeros((model.p, 2))
@@ -348,9 +355,12 @@ class TestJackknifeDowndate:
         "many_spikes": spiked_matrix(4, 80, 40, 40.0, spikes=9),
     }
 
+    @pytest.mark.parametrize("block_cells", ["one_block", "many_blocks"])
     @pytest.mark.parametrize("mode", ["none", "center"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_refits(self, case, mode):
+    def test_matches_refits(self, case, mode, block_cells, monkeypatch):
+        if block_cells == "many_blocks":
+            monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**7)
         X = self.CASES[case]
         value, used, excluded = refit_jackknife(X, mode, 1)
         estimate = jackknife_shrinkage(X, mode, 1)
@@ -473,6 +483,52 @@ class TestJackknifeDowndate:
             fit(X, mode, k=1)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             jackknife_shrinkage(X, mode, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeScales:
+    """center_scale statistics of rows whose squares overflow or
+    underflow a double: each fit matches that of a copy rescaled by an
+    exact power of two into the normal range."""
+
+    CASES = {"huge": (1e200, 2.0**-664), "tiny": (1e-200, 2.0**664)}
+
+    @staticmethod
+    def matrix(scale):
+        rng = np.random.default_rng(3)
+        factor = np.outer(np.ones(30), 2.0 * rng.standard_normal(20))
+        return (rng.standard_normal((30, 20)) + factor) * scale
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_matches_the_rescaled_copy(self, case):
+        scale, back = self.CASES[case]
+        values = self.matrix(scale)
+        model = fit(DataMatrix(values), "center_scale", k=1)
+        reference = fit(DataMatrix(values * back), "center_scale", k=1)
+        np.testing.assert_allclose(model.prep.scales * back, reference.prep.scales,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(model.eig.d, reference.eig.d, rtol=1e-12)
+        np.testing.assert_allclose(model.eig.U, reference.eig.U, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.shrinkage, reference.shrinkage, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_jackknife_matches_the_rescaled_copy(self, case):
+        scale, back = self.CASES[case]
+        values = self.matrix(scale)
+        estimate = jackknife_shrinkage(DataMatrix(values), "center_scale", 1)
+        reference = jackknife_shrinkage(DataMatrix(values * back), "center_scale", 1)
+        assert (estimate.used, estimate.excluded) == (reference.used, reference.excluded)
+        assert estimate.value == pytest.approx(reference.value, rel=1e-12)
+        assert estimate.plugin == pytest.approx(reference.plugin, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constant_row_still_degenerate(self, case):
+        scale, back = self.CASES[case]
+        values = self.matrix(scale)
+        values[4] = 1 / back  # a power of two, so its mean is exact
+        with pytest.raises(DegenerateVariable) as info:
+            fit(DataMatrix(values), "center_scale", k=1)
+        assert info.value.row == 4
 
 
 class TestSpectrumFirstFit:
