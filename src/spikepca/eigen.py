@@ -10,10 +10,11 @@ standardized coordinates: the product, the Gram-side eigenvectors, the
 scatter coordinates and project read Z = prep.apply(X) from it in
 blocks of at most matrix_io.BLOCK_CELLS cells, so no standardized copy
 of X is made (under mode none the one block is X itself).
-sample_eigen tridiagonalizes once, keeps every eigenvalue and
-back-transforms only the eigenvectors it keeps (descending_eigh's
-count); the jackknife, whose downdate needs the whole basis, takes
-every eigenvector from np.linalg.eigh. Eigenvector signs are fixed
+Every decomposition runs through descending_eigh's one LAPACK chain:
+it tridiagonalizes once, keeps every eigenvalue and back-transforms the
+eigenvectors its caller keeps, k of them for sample_eigen (its count)
+and all of them for the jackknife, whose downdate needs the whole
+basis. Eigenvector signs are fixed
 (largest-magnitude entry positive, ties to the lowest index) so results
 are reproducible byte for byte.
 downdate_leading gives the leading eigenvalues of
@@ -24,6 +25,7 @@ replicates, by the secular equation.
 from __future__ import annotations
 
 import ctypes
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -80,24 +82,24 @@ def descending_eigh(
     the count of eigenvalues left positive. Raises DegenerateMatrix
     when the rank is zero.
 
-    Without ``count`` V holds every eigenvector, from np.linalg.eigh.
-    With it, V holds the first min(count, rank) only; ``count`` is an
-    int or a function of d returning one, called once before any
-    eigenvector is built. The decomposition is then LAPACK's dsytrd,
-    dstedc and a dormtr over the kept columns alone, the steps of the
-    dsyevd that np.linalg.eigh runs, so d keeps eigh's bits
-    (_tridiagonal_eigh).
+    Without ``count`` V holds every eigenvector. With it, V holds the
+    first min(count, rank) only; ``count`` is an int or a function of d
+    returning one, called once before any eigenvector is built. The
+    decomposition is LAPACK's dsytrd, dstedc and a dormtr over the kept
+    columns alone, the steps of the dsyevd that np.linalg.eigh runs, so
+    d keeps eigh's bits (_tridiagonal_eigh). np.linalg.eigh itself runs
+    only where numpy's OpenBLAS lacks those routines, or for entries
+    that dsyevd would scale first.
     """
     routines = None
-    if count is not None and _SAFE_MIN <= max(M.max(), -M.min()) <= _SAFE_MAX:
+    if _SAFE_MIN <= max(M.max(), -M.min()) <= _SAFE_MAX:
         routines = _lapack_routines()
     if routines is None:
         w, V = np.linalg.eigh(M)
     else:
         w, V, back_transform = _tridiagonal_eigh(M, routines)
     order = np.argsort(w, kind="stable")[::-1]
-    d = w[order]
-    d = np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
+    d = _rank_clamped(w[order])
     rank = int(np.count_nonzero(d > 0))
     if rank == 0:
         raise DegenerateMatrix("matrix has no positive eigenvalues")
@@ -105,6 +107,12 @@ def descending_eigh(
         order = order[: min(count(d) if callable(count) else count, rank)]
     V = V[:, order]
     return d, V if routines is None else back_transform(V), rank
+
+
+def _rank_clamped(d: np.ndarray) -> np.ndarray:
+    """Non-increasing eigenvalues d with those below RANK_TOL * d_1 set
+    to zero: the package's one rank rule."""
+    return np.where(d < RANK_TOL * max(d[0], 0.0), 0.0, d)
 
 
 # dsyevd scales a matrix whose largest |entry| lies outside [_SAFE_MIN,
@@ -125,9 +133,10 @@ _CTYPES = {
 }
 
 
+@functools.cache
 def _lapack_routines():
     """dsytrd, dstedc and dormtr of numpy's bundled OpenBLAS with their
-    argument types declared, or None where it does not export them."""
+    argument types declared, once, or None where it does not export them."""
     routines = _workers.openblas(*_LAPACK)
     for routine, signature in zip(routines or (), _LAPACK.values()):
         lengths = [ctypes.c_size_t] * signature.count("c")

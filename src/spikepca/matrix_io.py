@@ -146,8 +146,9 @@ class Preprocessing:
         no p x n temporary is made. A row whose mean square overflows, or
         falls below the normal doubles, is taken again in units of its
         largest |centered| entry, s sqrt(mean((c / s)^2)).
-        Raises DegenerateVariable if a row has zero variance under
-        center_scale.
+        Raises DegenerateVariable under center_scale for a row with zero
+        variance, which includes every row whose entries are all equal,
+        whether or not its computed mean rounds back to that value.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -160,13 +161,15 @@ class Preprocessing:
         sds = np.empty(X.p)
         normal = np.sqrt(np.finfo(np.float64).tiny)  # least sd with a normal square
         for b in blocks(X.p, X.n):
-            centered = A[b] - means[b, None]
+            rows = A[b]
+            centered = rows - means[b, None]
             with np.errstate(over="ignore", under="ignore"):
                 sd = np.sqrt(np.mean(centered**2, axis=1))
                 for i in np.flatnonzero(~((sd >= normal) & (sd < np.inf))):
                     s = np.abs(centered[i]).max()
                     if s > 0:
                         sd[i] = s * np.sqrt(np.mean((centered[i] / s) ** 2))
+            sd[rows.max(axis=1) == rows.min(axis=1)] = 0.0
             sds[b] = sd
         bad = np.flatnonzero(sds == 0)
         if bad.size:
@@ -205,12 +208,13 @@ def _parse_csv(path) -> np.ndarray:
     Cells are whatever float() accepts after str.strip(). A clean file
     takes one bulk _parse_clean call; any other goes to the cell-by-cell
     _scan_csv, which accepts the remaining spellings or raises ParseError
-    with 1-based file coordinates on the first bad cell. Raises
-    EmptyInput if the file holds no data rows.
+    with 1-based file coordinates on the first bad cell. A file that
+    cannot be read or is not UTF-8 is a ParseError naming the path.
+    Raises EmptyInput if the file holds no data rows.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     del text  # the lines hold a second copy; free this one before converting

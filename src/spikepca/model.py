@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import (
-    RANK_TOL,
     SampleEigen,
+    _check_k,
     _covariance_eigh,
     _eigenvectors,
+    _rank_clamped,
     _scatter_coordinates,
     downdate_leading,
     project,
@@ -168,15 +169,13 @@ def fit(X: DataMatrix, mode: str = "center", k="auto") -> FittedPcModel:
     """
     if X.n < 3:
         raise DimensionError(f"need at least 3 samples to fit, got {X.n}")
-    m = min(X.p, X.n)
     auto = isinstance(k, str)
     if auto:
         if k != "auto":
             raise ValueError(f"k must be an integer or 'auto', got {k!r}")
     else:
         k_request = int(k)
-        if not 1 <= k_request <= m:
-            raise DimensionError(f"k must be in [1, {m}], got {k_request}")
+        _check_k(k_request, min(X.p, X.n))
 
     prep = Preprocessing.from_data(X, mode)
     spectrum = None
@@ -309,11 +308,12 @@ def read_model(path) -> FittedPcModel:
     the estimates from it, as fit() derives them. A stored d_hat,
     lambda_hat, tau, k_spikes, iterations, converged or gamma that
     differs from the derived one, or an [adjustment] cell that differs
-    from its derived value (nan matching nan), is a FormatError.
+    from its derived value (nan matching nan), is a FormatError, as is
+    a file that cannot be read or is not UTF-8, named by its path.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read model from {path!r}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != MODEL_MAGIC:
@@ -473,24 +473,23 @@ def jackknife_shrinkage(
     rank-one change of the scatter matrix. The jackknife costs one
     eigendecomposition of size min(p, n), the one fit() makes
     (eigen._covariance_eigh): it gives the plug-in, the in-sample
-    scores and the downdate basis. Each replicate then costs a
-    secular-equation solve for the leading K eigenvalues of a
-    diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with K
-    a few above the component. The exception is a sample holding nearly
-    all of the scatter, whose replicate is refit. center_scale refits
-    throughout, because its scales change with each left-out sample.
-    The decomposition, the in-sample scores and the downdate's scatter
-    coordinates all read the standardized matrix in eigen._standardized
-    blocks, as fit() does, so no standardized copy of X is made.
+    scores and the downdate basis, all of whose eigenvectors come from
+    the chain that fit() uses (eigen.descending_eigh). Each replicate
+    then costs a secular-equation solve for the leading K eigenvalues of
+    a diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with
+    K a few above the component. The exception is a sample holding
+    nearly all of the scatter, whose replicate is refit. center_scale
+    refits throughout, because its scales change with each left-out
+    sample. Every refit scores its held-out sample through
+    eigen.project, as predict() does. The decomposition, the in-sample
+    scores and the downdate's scatter coordinates all read the
+    standardized matrix in eigen._standardized blocks, as fit() does,
+    so no standardized copy of X is made.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
-    if component < 1:
-        raise DomainError(f"component must be >= 1, got {component}")
+    _check_k(component, min(X.p, X.n))
     prep = Preprocessing.from_data(X, mode)
-    m = min(X.p, X.n)
-    if component > m:
-        raise DimensionError(f"k must be in [1, {m}], got {component}")
     # the decomposition of fit(X, mode, k=component), kept for the downdate
     d, V, _ = _covariance_eigh(X.values, prep)
     spectrum = rescale_eigenvalues(d, X.p, X.n)
@@ -505,9 +504,11 @@ def jackknife_shrinkage(
     mean_sq_sample = float(np.mean(project(U, X.values, prep)[-1] ** 2))
 
     if mode == "center_scale":
-        held_out = np.array([_refit_one(X, mode, component, j) for j in range(X.n)])
+        held_out, refit = np.full(X.n, np.nan), range(X.n)
     else:
-        held_out = _downdate_replicates(X, prep, d, V, component)
+        held_out, refit = _downdate_replicates(X, prep, d, V, component)
+    for j in refit:
+        held_out[j] = _refit_one(X, mode, component, j)
     used = held_out[~np.isnan(held_out)]
     if not used.size:
         raise NotIdentifiable(
@@ -523,12 +524,12 @@ def jackknife_shrinkage(
 
 
 def _refit_one(X: DataMatrix, mode: str, component: int, j: int) -> float:
-    """Held-out naive score of sample j from a full refit; NaN if excluded."""
+    """Held-out naive score of sample j from a full refit, projected by
+    eigen.project as predict() projects it; NaN if excluded."""
     refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
     if refit.k_spikes < component or refit.k < component:
         return math.nan
-    z = refit.prep.apply(X.values[:, j])
-    return float(refit.eig.U[:, component - 1] @ z)
+    return float(project(refit.eig.U, X.values[:, j : j + 1], refit.prep)[-1, 0])
 
 
 # A replicate whose scatter trace is below this share of the full one is
@@ -539,8 +540,11 @@ DOWNDATE_MIN_SHARE = 1e-3
 
 def _downdate_replicates(
     X: DataMatrix, prep: Preprocessing, d: np.ndarray, V: np.ndarray, component: int
-) -> np.ndarray:
-    """Held-out naive scores from the full-data decomposition; NaN marks an exclusion.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Held-out naive scores from the full-data decomposition, and the
+    samples whose replicates the caller must refit.
+
+    The scores are NaN for an exclusion and for a replicate to refit.
 
     With A = prep.apply(X.values), the standardized p x n matrix
     (columns a_j), and rho = n/(n-1) for mode center, 1 for none,
@@ -560,13 +564,12 @@ def _downdate_replicates(
     is above the noise edge. The rank clamp and the exclusion rule are
     those of fit(). A sample that carries nearly all of the scatter
     would leave a downdate of nearly equal terms; its replicate is
-    refit from X instead.
+    returned for jackknife_shrinkage to refit from X instead.
     """
     p, n = X.p, X.n
     m = n - 1
     k_max = min(p, m)
-    if component > k_max:
-        raise DimensionError(f"k must be in [1, {k_max}], got {component}")
+    _check_k(component, k_max)
     rho = n / m if prep.mode == "center" else 1.0
     v = component - 1
     lam = n * d
@@ -581,7 +584,7 @@ def _downdate_replicates(
         mu, score = downdate_leading(lam, W[pending], rho, k, v)
         grow = []
         for j, d, q in zip(pending, mu, score):
-            d = np.where(d < RANK_TOL * d[0], 0.0, d)
+            d = _rank_clamped(d)
             spectrum = rescale_eigenvalues(d / m, p, m, total=traces[j] / m)
             if k < k_max and spectrum.tau * lam[k] > edge * traces[j]:
                 grow.append(j)
@@ -589,9 +592,7 @@ def _downdate_replicates(
                 held_out[j] = q
         pending = np.array(grow, dtype=int)
         k = min(2 * k, k_max)
-    for j in np.flatnonzero(refit):
-        held_out[j] = _refit_one(X, prep.mode, component, j)
-    return held_out
+    return held_out, np.flatnonzero(refit)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spikepca import DataMatrix, gen_two_spike, write_matrix
 from spikepca._workers import _openblas_threads
@@ -76,6 +78,27 @@ class TestFit:
         )
         assert code == 3
         assert "variance" in err
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(3, 300),
+           value=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+    def test_any_constant_row_center_scale_exits_3(self, capsys, tmp_path, n, value):
+        # flagged whether or not the row's computed mean rounds back to it
+        path = tmp_path / "const.csv"
+        values = np.random.default_rng(n).standard_normal((3, n))
+        values[1] = value
+        write_matrix(DataMatrix(values), path)
+        code, out, err = run_cli(capsys, "fit", str(path), "--mode", "center-scale")
+        assert (code, out) == (3, "")
+        assert err == "error: variable 1 has zero variance; cannot center_scale\n"
+
+    def test_non_utf8_matrix_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1,2,3\n4,5,6\ncaf\u00e9,8,9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_center_scale_of_extreme_entries_fits(self, capsys, tmp_path, scale):
@@ -190,6 +213,14 @@ class TestPredict:
         )
         assert code == 0
         assert out.splitlines()[0] == "sample,pc,naive,adjusted,identifiable"
+
+    def test_non_utf8_model_names_the_file(self, capsys, two_spike_csv, model_path):
+        model_path.write_bytes(model_path.read_bytes() + b"\xe9\n")
+        code, out, err = run_cli(capsys, "predict", str(model_path), str(two_spike_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: cannot read model from {str(model_path)!r}: 'utf-8' codec"
+        )
 
     def test_non_finite_model_value_exits_2(self, capsys, two_spike_csv, model_path):
         lines = model_path.read_text().splitlines()

@@ -384,7 +384,7 @@ class TestDescendingEigh:
     @pytest.mark.skipif(not HAS_LAPACK, reason="numpy's OpenBLAS lacks the LAPACK symbols")
     def test_callable_count_runs_once_before_any_vector(self, monkeypatch):
         calls = []
-        routines = spikepca._workers.openblas(*spikepca.eigen._LAPACK)
+        routines = spikepca.eigen._lapack_routines()
 
         def logged(routine):
             def call(*args):
@@ -395,7 +395,7 @@ class TestDescendingEigh:
             return call
 
         monkeypatch.setattr(
-            spikepca._workers, "openblas", lambda *names: tuple(map(logged, routines))
+            spikepca.eigen, "_lapack_routines", lambda: tuple(map(logged, routines))
         )
 
         def count(d):
@@ -416,7 +416,7 @@ class TestDescendingEigh:
     ):
         M = self.matrix(n, kind)
         d, V, rank = spikepca.eigen.descending_eigh(M, 3)
-        monkeypatch.setattr(spikepca._workers, "openblas", lambda *names: None)
+        monkeypatch.setattr(spikepca.eigen, "_lapack_routines", lambda: None)
         d_eigh, V_eigh, rank_eigh = spikepca.eigen.descending_eigh(M, 3)
         assert d.tobytes() == d_eigh.tobytes() and rank == rank_eigh
         assert V_eigh.shape == V.shape

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikepca import (
     DataMatrix,
@@ -38,7 +40,18 @@ import spikepca.eigen
 import spikepca.matrix_io
 import spikepca.model
 from spikepca.model import component_estimates
-from spikepca.simulate import gen_two_spike, standard_normal, substream
+from spikepca.simulate import (
+    gen_two_spike,
+    run_table3,
+    run_table12,
+    standard_normal,
+    substream,
+)
+
+needs_lapack = pytest.mark.skipif(
+    spikepca._workers.openblas(*spikepca.eigen._LAPACK) is None,
+    reason="numpy's OpenBLAS lacks the LAPACK symbols",
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,11 +325,18 @@ def refit_jackknife(X, mode, component):
         refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
         if refit.k_spikes < component or refit.k < component:
             continue
-        z = refit.prep.apply(X.values[:, j])
-        predicted_sq.append(float(refit.eig.U[:, component - 1] @ z) ** 2)
+        z = predict(refit, X.values[:, j]).naive[component - 1, 0]
+        predicted_sq.append(float(z) ** 2)
     used = len(predicted_sq)
     value = math.sqrt(math.fsum(predicted_sq) / used / mean_sq_sample) if used else None
     return value, used, X.n - used
+
+
+def factor_matrix():
+    """A 30 x 20 matrix whose one common factor stays a spike under center_scale."""
+    rng = np.random.default_rng(3)
+    factor = np.outer(np.ones(30), 2.0 * rng.standard_normal(20))
+    return DataMatrix(rng.standard_normal((30, 20)) + factor)
 
 
 def spiked_matrix(seed, p, n, spike, outlier=1.0, spikes=1):
@@ -381,27 +401,69 @@ class TestJackknifeDowndate:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
+    @pytest.fixture
+    def tridiagonalizations(self, monkeypatch):
+        """Shapes of every matrix eigen tridiagonalizes (dsytrd)."""
+        calls = []
+        original = spikepca.eigen._tridiagonal_eigh
+
+        def counting(M, routines):
+            calls.append(M.shape)
+            return original(M, routines)
+
+        monkeypatch.setattr(spikepca.eigen, "_tridiagonal_eigh", counting)
+        return calls
+
+    @needs_lapack
     @pytest.mark.parametrize("case", ["gram", "covariance", "p_is_n_minus_1", "p_is_n"])
-    def test_one_eigendecomposition_per_jackknife(self, case, eigh_calls):
+    def test_one_eigendecomposition_per_jackknife(self, case, tridiagonalizations):
         # the full-data decomposition is also the downdate basis
         X = self.CASES[case]
         m = min(X.p, X.n)
         for mode in ("none", "center"):
-            eigh_calls.clear()
+            tridiagonalizations.clear()
             estimate = jackknife_shrinkage(X, mode, 1)
             assert estimate.used + estimate.excluded == X.n
-            assert eigh_calls == [(m, m)]
+            assert tridiagonalizations == [(m, m)]
 
-    @pytest.mark.skipif(
-        spikepca._workers.openblas(*spikepca.eigen._LAPACK) is None,
-        reason="numpy's OpenBLAS lacks the LAPACK symbols",
-    )
+    @needs_lapack
     @pytest.mark.parametrize("case", ["gram", "covariance"])
     def test_fit_makes_no_full_eigendecomposition(self, case, eigh_calls):
         # fit back-transforms only the vectors it keeps, through LAPACK
         for mode in ("none", "center", "center_scale"):
             fit(self.CASES[case], mode, k="auto")
         assert eigh_calls == []
+
+    @needs_lapack
+    def test_jackknife_and_studies_make_no_eigh_call(self, eigh_calls):
+        # the jackknife's whole basis and its outlier refit, and the
+        # table12 and table3 replicates, all decompose through LAPACK
+        for case in ("gram", "covariance"):
+            for mode in ("none", "center"):
+                jackknife_shrinkage(self.CASES[case], mode, 1)
+        jackknife_shrinkage(self.CASES["gram_outlier"], "center", 1)
+        run_table12(gammas=(1.0, 20.0), ns=(20,), replicates=2, seed=5)
+        run_table3(cells=((20, 5),), replicates=2, seed=5, p=60)
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize(
+        "case, mode",
+        [(case, mode) for case in ("gram", "covariance")
+         for mode in ("none", "center")] + [("factor", "center_scale")],
+    )
+    def test_refit_score_is_predicts(self, case, mode):
+        X = factor_matrix() if case == "factor" else self.CASES[case]
+        scored = 0
+        for j in range(X.n):
+            refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=1)
+            held_out = spikepca.model._refit_one(X, mode, 1, j)
+            if refit.k_spikes < 1:
+                assert math.isnan(held_out)
+                continue
+            score = predict(refit, X.values[:, j]).naive[0, 0]
+            assert np.float64(held_out).tobytes() == score.tobytes()
+            scored += 1
+        assert scored > X.n // 2
 
     def test_leading_count_grows_past_the_spikes(self, monkeypatch):
         ks = []
@@ -439,9 +501,7 @@ class TestJackknifeDowndate:
             jackknife_shrinkage(X, mode, 1)
 
     def test_center_scale_still_refits(self):
-        rng = np.random.default_rng(3)
-        factor = np.outer(np.ones(30), 2.0 * rng.standard_normal(20))
-        X = DataMatrix(rng.standard_normal((30, 20)) + factor)
+        X = factor_matrix()
         value, used, excluded = refit_jackknife(X, "center_scale", 1)
         estimate = jackknife_shrinkage(X, "center_scale", 1)
         assert (estimate.value, estimate.used, estimate.excluded) == (value, used, excluded)
@@ -457,6 +517,9 @@ class TestJackknifeDowndate:
              DimensionError, "k must be in [1, 8], got 9"),
             (np.random.default_rng(6).standard_normal((8, 12)), 9,
              DimensionError, "k must be in [1, 8], got 9"),
+            # as in fit(), k=0 fails the same range check
+            (np.random.default_rng(6).standard_normal((8, 12)), 0,
+             DimensionError, "k must be in [1, 8], got 0"),
             (np.random.default_rng(5).standard_normal((30, 20)), 2,
              NotIdentifiable,
              "component 2 is not a spike in the full-data fit (k_spikes=0)"),
@@ -528,6 +591,43 @@ class TestExtremeScales:
         values[4] = 1 / back  # a power of two, so its mean is exact
         with pytest.raises(DegenerateVariable) as info:
             fit(DataMatrix(values), "center_scale", k=1)
+        assert info.value.row == 4
+
+
+class TestConstantRows:
+    """center_scale flags a row whose entries are all equal, whether or
+    not its computed mean rounds back to them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 1000),
+           value=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+           row=st.integers(0, 3))
+    def test_fit_raises_degenerate_variable(self, n, value, row):
+        values = np.random.default_rng(n).standard_normal((4, n))
+        values[row] = value
+        with pytest.raises(DegenerateVariable) as info:
+            fit(DataMatrix(values), "center_scale", k=1)
+        assert info.value.row == row
+
+    def test_tiny_real_variance_still_fits(self):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((5, 40))
+        values[2] = 1 + 1e-12 * rng.standard_normal(40)
+        model = fit(DataMatrix(values), "center_scale", k=1)
+        centered = values[2] - values[2].mean()
+        assert model.prep.scales[2] == pytest.approx(
+            np.sqrt(np.mean(centered**2)), rel=1e-12
+        )
+        assert 0 < model.prep.scales[2] < 1e-11
+
+    def test_jackknife_raises_for_a_row_constant_in_one_replicate(self):
+        # the full data fit, but leaving out sample 7 leaves row 4 constant
+        values = factor_matrix().values.copy()
+        values[4] = 0.1
+        values[4, 7] = 0.3
+        fit(DataMatrix(values), "center_scale", k=1)
+        with pytest.raises(DegenerateVariable) as info:
+            jackknife_shrinkage(DataMatrix(values), "center_scale", 1)
         assert info.value.row == 4
 
 
