@@ -8,6 +8,8 @@ success, 2 for input/usage problems, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -322,5 +324,32 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry of ``python -m spikepca`` and the spikepca script.
+
+    Runs main(), flushes stdout and stderr, and exits with main's code,
+    or with 2 when a flush fails (``error: ...`` on stderr). The exit
+    skips interpreter teardown (os._exit), which would only free memory
+    the process is about to give back, unless a trace or profile hook is
+    set: then sys.exit lets a profiler or coverage tool write its output.
+    A stream that was closed when the process started is None: there is
+    nothing to flush.
+    """
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError as exc:
+            # later writes to the stream, the exit-time flush among them,
+            # go nowhere instead of failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -31,6 +31,7 @@ from .eigen import (
 )
 from .errors import (
     DegenerateRegressor,
+    DegenerateVariable,
     DimensionError,
     DomainError,
     FormatError,
@@ -44,7 +45,7 @@ from .matrix_io import (
     _csv,
     _fmt,
     all_finite,
-    standardize,  # uncalled: bound for perfbench/tracer.py, until ROADMAP item 1(b)
+    standardize,  # uncalled: bound for perfbench/tracer.py, until ROADMAP item 3(a)
 )
 from .spiked import (
     RescaledSpectrum,
@@ -525,8 +526,18 @@ def jackknife_shrinkage(
 
 def _refit_one(X: DataMatrix, mode: str, component: int, j: int) -> float:
     """Held-out naive score of sample j from a full refit, projected by
-    eigen.project as predict() projects it; NaN if excluded."""
-    refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
+    eigen.project as predict() projects it; NaN if excluded.
+
+    Raises DegenerateVariable, naming sample j, for a row that is
+    constant once sample j is left out."""
+    try:
+        refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
+    except DegenerateVariable as exc:
+        raise DegenerateVariable(
+            f"variable {exc.row} is constant when sample {j + 1} is left out; "
+            "cannot center_scale",
+            row=exc.row,
+        ) from exc
     if refit.k_spikes < component or refit.k < component:
         return math.nan
     return float(project(refit.eig.U, X.values[:, j : j + 1], refit.prep)[-1, 0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._workers import fill_rows, one_blas_thread
 # nothing here calls pc_scores: it stays bound for the spikepca.simulate
-# entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 1(b) retires it
+# entry of perfbench/tracer.py's BINDINGS, until ROADMAP item 3(a) retires it
 from .eigen import pc_scores, project, sample_eigen
 from .errors import (
     DegenerateInput,
@@ -329,6 +329,9 @@ def _run_study(design, replicate, keys, cells, replicates, seed, workers, analyt
     BLAS at one thread (fill_rows), so the report does not depend on the
     BLAS thread count either. A replicate that raises in a worker is run
     again in this process, so it raises as it does with one worker.
+    scipy.special, whose ndtri and chdtri make every variate, is loaded
+    before the workers fork, so they inherit it instead of each loading
+    it again.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -337,6 +340,8 @@ def _run_study(design, replicate, keys, cells, replicates, seed, workers, analyt
         raise ValueError(f"replicates must be <= 65536, got {replicates}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    import scipy.special  # loaded once, so the forked workers inherit it
+
     design_id = _DESIGN_IDS[design]
     rows = []
     for index, cell in enumerate(cells):

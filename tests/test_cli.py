@@ -701,6 +701,103 @@ class TestStdStreams:
         assert "k_spikes" in err  # diagnostics on stderr
 
 
+class TestProcessExit:
+    """``python -m spikepca`` runs cli.run: main's stdout and exit code,
+    then a flush whose failure is reported, then an exit without
+    interpreter teardown unless a profile hook is set."""
+
+    @staticmethod
+    def spikepca(*argv, stdout=subprocess.PIPE, unbuffered=False, module=("-m", "spikepca"),
+                 **kwargs):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, *module, *map(str, argv)],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120, **kwargs,
+        )
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("exit")
+        files = {name: root / f"{name}.csv" for name in ("train", "flat", "eigs")}
+        write_matrix(gen_two_spike(100, 1.0, seed=4), files["train"])
+        flat = gen_two_spike(20, 1.0, seed=4).values.copy()
+        flat[1] = 0.5
+        write_matrix(DataMatrix(flat), files["flat"])
+        files["eigs"].write_text("5\n3\n1\n")
+        files["model"] = root / "model.spca"
+        assert main(["fit", str(files["train"]), "--out", str(files["model"])]) == 0
+        return files
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, ("fit", "{train}", "--k", "2")),
+            (0, ("predict", "{model}", "{train}")),
+            (0, ("jackknife", "{train}", "--pc", "1")),
+            (0, ("rescale", "{eigs}", "--p", "3", "--n", "10")),
+            (0, ("simulate", "table12", "--seed", "2", "--gamma", "1", "--n", "20",
+                 "--replicates", "3", "--workers", "2")),
+            (2, ("rescale", "{train}.missing", "--p", "3", "--n", "10")),
+            (3, ("fit", "{flat}", "--mode", "center-scale")),
+        ],
+        ids=["fit", "predict", "jackknife", "rescale", "table12", "exit2", "exit3"],
+    )
+    def test_matches_in_process_main(self, capsys, files, code, argv):
+        argv = [a.format(**files) for a in argv]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code
+        result = self.spikepca(*argv)
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("rescale", "{eigs}", "--p", "3", "--n", "10"), ("predict", "{model}", "{train}")],
+        ids=["rescale", "predict"],
+    )
+    def test_full_stdout_exits_2(self, files, argv, unbuffered):
+        # rescale's few hundred bytes sit in the buffer until the exit flush
+        with open("/dev/full", "wb") as full:
+            result = self.spikepca(
+                *(a.format(**files) for a in argv), stdout=full, unbuffered=unbuffered
+            )
+        err = result.stderr.decode()
+        assert result.returncode == 2
+        assert "error: [Errno 28]" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_closed_stdout_with_out_file_exits_0(self, files, tmp_path):
+        # with fd 1 closed at start sys.stdout is None; nothing goes to it
+        out = tmp_path / "rescale.csv"
+        result = self.spikepca(
+            "rescale", files["eigs"], "--p", "3", "--n", "10", "--out", out,
+            stdout=None, preexec_fn=lambda: os.close(1),
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert out.read_text().startswith("# k=")
+
+    def test_profiler_still_prints_its_table(self, files):
+        result = self.spikepca(
+            "rescale", files["eigs"], "--p", "3", "--n", "10",
+            module=("-m", "cProfile", "-m", "spikepca"),
+        )
+        assert result.returncode == 0, result.stderr
+        out = result.stdout.decode()
+        assert "component,d,ratio,d_hat,lambda_hat,spike" in out
+        assert "function calls" in out and "Ordered by" in out
+
+    def test_console_script_runs_cli_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["scripts"]["spikepca"] == "spikepca.cli:run"
+
+
 class TestColdStart:
     @staticmethod
     def scipy_modules_after(statements):

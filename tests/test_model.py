@@ -33,8 +33,10 @@ from spikepca import (
     sample_eigenvalue_limit,
     shrinkage_factor,
     standardize,
+    write_matrix,
     write_model,
 )
+from spikepca import cli
 import spikepca._workers
 import spikepca.eigen
 import spikepca.matrix_io
@@ -620,8 +622,11 @@ class TestConstantRows:
         )
         assert 0 < model.prep.scales[2] < 1e-11
 
-    def test_jackknife_raises_for_a_row_constant_in_one_replicate(self):
-        # the full data fit, but leaving out sample 7 leaves row 4 constant
+    def test_jackknife_raises_for_a_row_constant_in_one_replicate(
+        self, tmp_path, capsys
+    ):
+        # the full data fit, but leaving out sample 7 (8 counted from 1)
+        # leaves row 4 constant
         values = factor_matrix().values.copy()
         values[4] = 0.1
         values[4, 7] = 0.3
@@ -629,6 +634,12 @@ class TestConstantRows:
         with pytest.raises(DegenerateVariable) as info:
             jackknife_shrinkage(DataMatrix(values), "center_scale", 1)
         assert info.value.row == 4
+        assert "when sample 8 is left out" in str(info.value)
+        path = tmp_path / "x.csv"
+        write_matrix(DataMatrix(values), path)
+        code = cli.main(["jackknife", str(path), "--pc", "1", "--mode", "center-scale"])
+        assert code == 3
+        assert "when sample 8 is left out" in capsys.readouterr().err
 
 
 class TestSpectrumFirstFit:

@@ -1,7 +1,11 @@
 """Generators, empirical estimators, and experiment drivers."""
 
+import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +537,58 @@ class TestWorkerProcesses:
         serial = run_table12(**self.CELL).to_csv()
         monkeypatch.setattr(os, "fork", refuse)
         assert run_table12(**self.CELL, workers=2).to_csv() == serial
+
+
+def python_with_src(argv, env=None, **kwargs):
+    """Run a fresh interpreter on ``argv`` with this checkout's src first
+    on PYTHONPATH; returns the completed process, output captured."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          timeout=120, **kwargs)
+
+
+PRE_FORK = """
+import json, sys
+from spikepca import simulate
+loaded = ["scipy.special" in sys.modules]
+fill_rows = simulate.fill_rows
+
+def recording(*args):
+    loaded.append("scipy.special" in sys.modules)
+    return fill_rows(*args)
+
+simulate.fill_rows = recording
+if sys.argv[1] == "table12":
+    simulate.run_table12(gammas=(1.0,), ns=(20, 24), replicates=2, seed=5, workers=2)
+else:
+    simulate.run_table3(cells=((4, 2), (6, 3)), replicates=2, seed=5, p=10, workers=2)
+print(json.dumps(loaded))
+"""
+
+
+class TestPreForkImport:
+    """A study loads scipy.special once, before it forks its workers."""
+
+    @pytest.mark.parametrize("study", ["table12", "table3"])
+    def test_scipy_special_is_loaded_at_every_fill_rows_call(self, study):
+        result = python_with_src(["-c", PRE_FORK, study], text=True)
+        assert result.returncode == 0, result.stderr
+        # not loaded by the import, then loaded at both cells' calls
+        assert json.loads(result.stdout) == [False, True, True]
+
+    def test_workers_match_one_worker_with_openblas_threads_unset(self):
+        # scipy.special loads scipy's own OpenBLAS, which starts its
+        # threads before the fork when no thread count is set; the
+        # timeout catches a worker that hangs on them
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        argv = ["-m", "spikepca", "simulate", "table12", "--seed", "3", "--gamma", "1",
+                "--n", "100", "--replicates", "3", "--workers"]
+        reports = [python_with_src([*argv, workers], env) for workers in ("1", "2")]
+        assert [r.returncode for r in reports] == [0, 0], reports[1].stderr
+        assert reports[1].stdout == reports[0].stdout
 
 
 @pytest.mark.skipif(_workers._openblas_threads() is None,
