@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,8 @@ def _load_matrix(path, orientation_flag: str, min_samples: int = 1) -> np.ndarra
 def _emit(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text)
+    elif sys.stdout is None:  # fd 1 was closed when the process started
+        raise OSError(errno.EBADF, "stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -88,7 +91,7 @@ def _cmd_fit(args) -> int:
         model.score_corr,
         model.evec_angle,
     )
-    sys.stdout.write(_csv(rows))
+    _emit(_csv(rows), None)
     print(
         f"p={model.p} n={model.n} gamma={model.gamma:g} k_spikes={model.k_spikes} "
         f"tau={model.spectrum.tau:g} converged={model.spectrum.converged}",
@@ -312,16 +315,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpikePcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, MemoryError) as exc:
+    except (SpikePcaError, OSError, ValueError, MemoryError) as exc:
         # an allocation that fails means the input is too large
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        numerical = isinstance(exc, SpikePcaError) and not isinstance(exc, INPUT_ERRORS)
+        return 3 if numerical else 2
 
 
 def run() -> None:
@@ -332,9 +330,15 @@ def run() -> None:
     skips interpreter teardown (os._exit), which would only free memory
     the process is about to give back, unless a trace or profile hook is
     set: then sys.exit lets a profiler or coverage tool write its output.
-    A stream that was closed when the process started is None: there is
-    nothing to flush.
+    A stderr that was closed when the process started is replaced by
+    os.devnull, so its output is dropped and the exit code stands; a
+    write to a stdout closed at start fails in main, exit 2.
     """
+    try:  # fd 2 closed at start: None, or left open on a file that takes no writes
+        os.write(sys.stderr.fileno(), b"")
+    except (AttributeError, OSError) as exc:
+        if not isinstance(exc, OSError) or exc.errno == errno.EBADF:
+            sys.stderr = open(os.devnull, "w")
     code = main()
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:

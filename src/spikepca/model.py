@@ -22,7 +22,6 @@ from .eigen import (
     SampleEigen,
     _check_k,
     _covariance_eigh,
-    _eigenvectors,
     _rank_clamped,
     _scatter_coordinates,
     downdate_leading,
@@ -49,6 +48,7 @@ from .matrix_io import (
 )
 from .spiked import (
     RescaledSpectrum,
+    _noise_edge,
     _shrinkage,
     eigenvector_angle,
     rescale_eigenvalues,
@@ -467,25 +467,27 @@ def jackknife_shrinkage(
     the other n-1 columns and the held-out column's naive score is
     predicted. The estimate is the root of mean squared predicted score
     over mean squared full-data sample score, the same quantity the
-    asymptotic shrinkage factor describes. Replicates whose fit does
-    not classify the component as a spike are excluded and counted.
+    asymptotic shrinkage factor describes. The latter is the sample
+    eigenvalue d_v itself: the in-sample scores u'z_i of the unit
+    eigenvector u of Z Z' / n have mean square u'(Z Z' / n)u = d_v.
+    Replicates whose fit does not classify the component as a spike
+    are excluded and counted.
 
     Modes none and center do not refit: leaving a sample out is a
     rank-one change of the scatter matrix. The jackknife costs one
     eigendecomposition of size min(p, n), the one fit() makes
-    (eigen._covariance_eigh): it gives the plug-in, the in-sample
-    scores and the downdate basis, all of whose eigenvectors come from
-    the chain that fit() uses (eigen.descending_eigh). Each replicate
-    then costs a secular-equation solve for the leading K eigenvalues of
-    a diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with
-    K a few above the component. The exception is a sample holding
-    nearly all of the scatter, whose replicate is refit. center_scale
-    refits throughout, because its scales change with each left-out
-    sample. Every refit scores its held-out sample through
-    eigen.project, as predict() does. The decomposition, the in-sample
-    scores and the downdate's scatter coordinates all read the
-    standardized matrix in eigen._standardized blocks, as fit() does,
-    so no standardized copy of X is made.
+    (eigen._covariance_eigh): it gives the plug-in, the in-sample score
+    scale d_v and the downdate basis, whose eigenvectors come from the
+    chain that fit() uses (eigen.descending_eigh). Each replicate then
+    costs a secular-equation solve for the leading K eigenvalues of a
+    diagonal-plus-rank-one matrix, O(K min(p, n)) per iteration, with K
+    a few above the component. The exception is a sample holding nearly
+    all of the scatter, whose replicate is refit. center_scale refits
+    throughout, because its scales change with each left-out sample.
+    Every refit scores its held-out sample through eigen.project, as
+    predict() does. The decomposition and the downdate's scatter
+    coordinates read the standardized matrix in eigen._standardized
+    blocks, as fit() does, so no standardized copy of X is made.
     """
     if X.n < 4:
         raise DimensionError(f"jackknife needs at least 4 samples, got {X.n}")
@@ -500,9 +502,7 @@ def jackknife_shrinkage(
             f"(k_spikes={spectrum.k})"
         )
     plugin = float(component_estimates(spectrum, component)[0][component - 1])
-    # a spike's eigenvalue is positive, so component <= the rank
-    U = _eigenvectors(X.values, d, V[:, :component], prep)
-    mean_sq_sample = float(np.mean(project(U, X.values, prep)[-1] ** 2))
+    mean_sq_sample = float(d[component - 1])
 
     if mode == "center_scale":
         held_out, refit = np.full(X.n, np.nan), range(X.n)
@@ -587,7 +587,7 @@ def _downdate_replicates(
     W = _scatter_coordinates(X.values, d, V, prep).T
     traces = lam.sum() - rho * np.einsum("ij,ij->i", W, W)
     refit = traces < DOWNDATE_MIN_SHARE * lam.sum()
-    edge = (1 + math.sqrt(p / m)) ** 2
+    edge = _noise_edge(p / m)
     held_out = np.full(n, np.nan)
     pending = np.flatnonzero(~refit)
     k = min(component + 3, k_max)

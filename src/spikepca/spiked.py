@@ -57,6 +57,13 @@ def detection_threshold(gamma: float) -> float:
     return 1 + math.sqrt(gamma)
 
 
+def _noise_edge(gamma: float) -> float:
+    """The upper noise edge (1 + sqrt(gamma))^2 of the sample spectrum,
+    where a spike at the detection threshold lands; gamma is checked as
+    detection_threshold checks it."""
+    return detection_threshold(gamma) ** 2
+
+
 def sample_eigenvalue_limit(spike: float, gamma: float) -> float:
     """Almost-sure limit x (1 + gamma / (x - 1)) of a spiked sample eigenvalue."""
     _check_gamma(gamma)
@@ -70,18 +77,16 @@ def debias_eigenvalue(d: float, gamma: float) -> float:
     Defined for d at or above the upper noise edge (1 + sqrt(gamma))^2;
     below it the caller should classify the component as noise instead.
     """
-    _check_gamma(gamma)
-    b = (1 + math.sqrt(gamma)) ** 2
+    b = _noise_edge(gamma)
     if not d >= b:
         raise DomainError(
             f"d={d} is below the noise edge {b}; no spike estimate exists"
         )
-    disc = (d + 1 - gamma) ** 2 - 4 * d
-    return (d + 1 - gamma + math.sqrt(max(disc, 0.0))) / 2
+    return float(_debias_many(np.float64(d), gamma))
 
 
 def _debias_many(d: np.ndarray, gamma: float) -> np.ndarray:
-    """Vectorized debias_eigenvalue for values already known to be >= edge."""
+    """debias_eigenvalue of each value in d, all known to be >= the edge."""
     disc = np.maximum((d + 1 - gamma) ** 2 - 4 * d, 0.0)
     return (d + 1 - gamma + np.sqrt(disc)) / 2
 
@@ -138,8 +143,7 @@ def adjustment_factor(d_hat: float, gamma: float) -> float:
     takes it. Raises NotIdentifiable when d_hat does not exceed the
     noise edge.
     """
-    _check_gamma(gamma)
-    b = (1 + math.sqrt(gamma)) ** 2
+    b = _noise_edge(gamma)
     if d_hat <= b:
         raise NotIdentifiable(
             f"d_hat={d_hat} does not exceed the noise edge {b}; "
@@ -234,9 +238,7 @@ def rescale_eigenvalues(
         raise DegenerateMatrix("all sample eigenvalues are zero")
     if gamma is None:
         gamma = p / n
-    _check_gamma(gamma)
-
-    b = (1 + math.sqrt(gamma)) ** 2
+    b = _noise_edge(gamma)
     r = d / total
     T = float(p)
     converged = False

@@ -782,6 +782,33 @@ class TestProcessExit:
         assert (result.returncode, result.stderr) == (0, b"")
         assert out.read_text().startswith("# k=")
 
+    def test_closed_stdout_exits_2(self, files):
+        result = self.spikepca(
+            "rescale", files["eigs"], "--p", "3", "--n", "10",
+            stdout=None, preexec_fn=lambda: os.close(1),
+        )
+        assert (result.returncode, result.stderr) == (2, b"error: [Errno 9] stdout is closed\n")
+
+    @pytest.mark.parametrize(
+        "close",
+        # a launcher may leave fd 2 open on a file it read, which takes no writes
+        [lambda: os.close(2), lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)],
+        ids=["closed", "read_only"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("fit", "{train}", "--k", "2"),
+         ("simulate", "table12", "--seed", "2", "--gamma", "1", "--n", "20",
+          "--replicates", "3", "--workers", "2")],
+        ids=["fit", "table12"],
+    )
+    def test_closed_stderr_keeps_exit_code_and_stdout(self, capsys, files, argv, close):
+        argv = [a.format(**files) for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        result = self.spikepca(*argv, preexec_fn=close)
+        assert (result.returncode, result.stdout.decode(), result.stderr) == (0, out, b"")
+        assert code == 0
+
     def test_profiler_still_prints_its_table(self, files):
         result = self.spikepca(
             "rescale", files["eigs"], "--p", "3", "--n", "10",

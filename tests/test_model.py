@@ -318,10 +318,13 @@ class TestJackknife:
 
 
 def refit_jackknife(X, mode, component):
-    """The leave-one-out jackknife as n + 1 full refits: (value, used, excluded)."""
+    """The leave-one-out jackknife as n + 1 full refits: (value, used, excluded).
+
+    The mean square in-sample score is the full fit's eigenvalue d_v;
+    test_in_sample_mean_square_is_the_eigenvalue checks it against the
+    projection of the standardized matrix."""
     full = fit(X, mode, k=component)
-    Xs, _ = standardize(X, mode)
-    mean_sq_sample = float(np.mean(pc_scores(Xs, full.eig)[component - 1] ** 2))
+    mean_sq_sample = float(full.eig.d[component - 1])
     predicted_sq = []
     for j in range(X.n):
         refit = fit(DataMatrix(np.delete(X.values, j, axis=1)), mode, k=component)
@@ -389,6 +392,51 @@ class TestJackknifeDowndate:
         assert (estimate.used, estimate.excluded) == (used, excluded)
         assert abs(estimate.value - value) <= 1e-10 * value
         assert estimate.plugin == fit(X, mode, k=1).shrinkage[0]
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_in_sample_mean_square_is_the_eigenvalue(self, case, mode):
+        # the projection the jackknife does not make: the in-sample scores
+        # of the unit eigenvector u of Z Z' / n have mean square d_1
+        X = self.CASES[case]
+        prep = Preprocessing.from_data(X, mode)
+        d, V, _ = spikepca.eigen._covariance_eigh(X.values, prep)
+        U = spikepca.eigen._eigenvectors(X.values, d, V[:, :1], prep)
+        mean_sq = np.mean(spikepca.eigen.project(U, X.values, prep)[-1] ** 2)
+        assert abs(mean_sq - d[0]) <= 1e-13 * d[0]
+
+    @pytest.mark.parametrize("mode", ["none", "center"])
+    @pytest.mark.parametrize(
+        "case", ["gram", "covariance", "gram_outlier", "covariance_outlier"]
+    )
+    def test_projects_and_builds_vectors_only_in_refits(self, case, mode, monkeypatch):
+        # outside its refit replicates the jackknife neither builds an
+        # eigenvector nor projects X
+        calls, refitting = [], [False]
+        refit_one = spikepca.model._refit_one
+
+        def refit(*args):
+            refitting[0] = True
+            try:
+                return refit_one(*args)
+            finally:
+                refitting[0] = False
+
+        def watch(module, name):
+            original = getattr(module, name)
+
+            def watched(*args, **kwargs):
+                calls.append((name, refitting[0]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, watched)
+
+        monkeypatch.setattr(spikepca.model, "_refit_one", refit)
+        watch(spikepca.model, "project")
+        watch(spikepca.eigen, "_eigenvectors")
+        jackknife_shrinkage(self.CASES[case], mode, 1)
+        assert all(inside for _, inside in calls)
+        assert ("project", True) in calls if "outlier" in case else not calls
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):

@@ -102,6 +102,20 @@ class TestEigenvalueMaps:
                 d = sample_eigenvalue_limit(lam, gamma)
                 assert debias_eigenvalue(d, gamma) == pytest.approx(lam, abs=1e-10 * lam)
 
+    def test_debias_keeps_the_scalar_formulas_bits(self):
+        # debias_eigenvalue evaluates the rescaling's vectorized map, which
+        # on doubles rounds as the scalar formula below
+        rng = np.random.default_rng(27)
+        gammas = np.concatenate([GAMMA_GRID, 10.0 ** rng.uniform(-4, 4, 400)])
+        for gamma in gammas:
+            gamma = float(gamma)
+            edge = (1 + math.sqrt(gamma)) ** 2
+            for d in [edge, *(edge * 10.0 ** rng.uniform(0, 6, 50))]:
+                d = float(d)
+                disc = (d + 1 - gamma) ** 2 - 4 * d
+                scalar = (d + 1 - gamma + math.sqrt(max(disc, 0.0))) / 2
+                assert debias_eigenvalue(d, gamma) == scalar
+
 
 class TestAngles:
     # analytic values reproduced by the benchmark tables (two decimals)
