@@ -315,11 +315,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SpikePcaError, OSError, ValueError, MemoryError) as exc:
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SpikePcaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError, MemoryError) as exc:
         # an allocation that fails means the input is too large
         print(f"error: {exc}", file=sys.stderr)
-        numerical = isinstance(exc, SpikePcaError) and not isinstance(exc, INPUT_ERRORS)
-        return 3 if numerical else 2
+        return 2
 
 
 def run() -> None:

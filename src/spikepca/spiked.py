@@ -76,12 +76,15 @@ def debias_eigenvalue(d: float, gamma: float) -> float:
 
     Defined for d at or above the upper noise edge (1 + sqrt(gamma))^2;
     below it the caller should classify the component as noise instead.
+    A d whose square overflows, infinity among them, raises DomainError.
     """
     b = _noise_edge(gamma)
     if not d >= b:
         raise DomainError(
             f"d={d} is below the noise edge {b}; no spike estimate exists"
         )
+    if d > _SQRT_MAX:  # the map squares d + 1 - gamma
+        raise DomainError(f"d={d} is too large to debias: its square overflows")
     return float(_debias_many(np.float64(d), gamma))
 
 

@@ -1,6 +1,7 @@
 """Closed-form spike estimators, rescaling iteration, and MP quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ class TestEigenvalueMaps:
                 disc = (d + 1 - gamma) ** 2 - 4 * d
                 scalar = (d + 1 - gamma + math.sqrt(max(disc, 0.0))) / 2
                 assert debias_eigenvalue(d, gamma) == scalar
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1e200, math.inf])
+    def test_debias_rejects_a_d_whose_square_overflows(self, d):
+        with pytest.raises(DomainError, match="too large to debias"):
+            debias_eigenvalue(d, 1.0)
+        with pytest.raises(DomainError, match="too large to debias"):
+            adjustment_factor(d, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_debias_takes_the_largest_d_whose_square_is_finite(self):
+        d = math.sqrt(sys.float_info.max)
+        assert debias_eigenvalue(d, 1.0) == d
+        assert adjustment_factor(d, 1.0) == 1.0
 
 
 class TestAngles:
