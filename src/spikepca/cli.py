@@ -327,34 +327,50 @@ def main(argv=None) -> int:
         return 2
 
 
+class _BestEffort:
+    """The stderr of a command: text goes to ``stream``, the stderr the
+    process started with, and a write or flush that raises OSError is
+    dropped, as is all output when stream is None (fd 2 closed at
+    start). Diagnostics thus never change stdout or the exit code."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        with contextlib.suppress(OSError):
+            if self.stream is not None:
+                self.stream.write(text)
+        return len(text)
+
+    def flush(self) -> None:
+        with contextlib.suppress(OSError):
+            if self.stream is not None:
+                self.stream.flush()
+
+
 def run() -> None:
     """Process entry of ``python -m spikepca`` and the spikepca script.
 
-    Runs main(), flushes stdout and stderr, and exits with main's code,
-    or with 2 when a flush fails (``error: ...`` on stderr). The exit
-    skips interpreter teardown (os._exit), which would only free memory
-    the process is about to give back, unless a trace or profile hook is
-    set: then sys.exit lets a profiler or coverage tool write its output.
-    A stderr that was closed when the process started is replaced by
-    os.devnull, so its output is dropped and the exit code stands; a
-    write to a stdout closed at start fails in main, exit 2.
+    Runs main() with a best-effort stderr (_BestEffort), flushes
+    stdout, and exits with main's code, or with 2 when that flush fails
+    (``error: ...`` on stderr, if it takes it). The exit skips
+    interpreter teardown (os._exit), which would only free memory the
+    process is about to give back, unless a trace or profile hook is
+    set: then sys.exit lets a profiler or coverage tool write its
+    output. A write to a stdout closed at start fails in main, exit 2.
     """
-    try:  # fd 2 closed at start: None, or left open on a file that takes no writes
-        os.write(sys.stderr.fileno(), b"")
-    except (AttributeError, OSError) as exc:
-        if not isinstance(exc, OSError) or exc.errno == errno.EBADF:
-            sys.stderr = open(os.devnull, "w")
+    sys.stderr = _BestEffort(sys.stderr)
     code = main()
-    for stream in filter(None, (sys.stdout, sys.stderr)):
+    if sys.stdout is not None:
         try:
-            stream.flush()
+            sys.stdout.flush()
         except OSError as exc:
-            # later writes to the stream, the exit-time flush among them,
-            # go nowhere instead of failing again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-            with contextlib.suppress(OSError):
-                print(f"error: {exc}", file=sys.stderr)
+            # later writes to stdout, the exit-time flush among them, go
+            # nowhere instead of failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: {exc}", file=sys.stderr)
             code = 2
+    sys.stderr.flush()
     if sys.gettrace() is None and sys.getprofile() is None:
         os._exit(code)
     sys.exit(code)

@@ -5,11 +5,12 @@ X^T X / n, whose nonzero eigenvalues equal those of the covariance;
 covariance eigenvectors are recovered as X h / sqrt(n d). That choice
 is made in this module alone: sample_eigen and the jackknife share
 _covariance_eigh, and the jackknife's downdate reads its basis through
-_scatter_coordinates. _standardized is the one map of data into
-standardized coordinates: the product, the Gram-side eigenvectors, the
-scatter coordinates and project read Z = prep.apply(X) from it in
-blocks of at most matrix_io.BLOCK_CELLS cells, so no standardized copy
-of X is made (under mode none the one block is X itself).
+_scatter_coordinates. The product, the Gram-side eigenvectors, the
+scatter coordinates and project read Z = prep.apply(X) from
+matrix_io._standardized, the one stream of data into standardized
+coordinates, in blocks of at most matrix_io.BLOCK_CELLS cells, so no
+standardized copy of X is made (under mode none the one block is X
+itself).
 Every decomposition runs through descending_eigh's one LAPACK chain:
 it tridiagonalizes once, keeps every eigenvalue and back-transforms the
 eigenvectors its caller keeps, k of them for sample_eigen (its count)
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _workers
 from .errors import DegenerateMatrix, DimensionError, DomainError
-from .matrix_io import DataMatrix, Preprocessing, blocks
+from .matrix_io import DataMatrix, Preprocessing, _standardized
 
 # Eigenvalues below RANK_TOL * d_1 are treated as numerical zeros: they are
 # clamped and their eigenvectors are not materialized.
@@ -238,33 +239,6 @@ def sample_eigen(
     A = X.values
     d, V, _ = _covariance_eigh(A, prep, count)
     return SampleEigen(d=d, U=_eigenvectors(A, d, V, prep), gamma=X.p / X.n)
-
-
-def _standardized(A: np.ndarray, prep: Preprocessing | None, rows: bool):
-    """prep.apply(A) one block at a time: the one map of data into
-    standardized coordinates on the fit, predict and jackknife paths.
-
-    Yields (slice, Z) for each row block (rows true) or column block of
-    A, cut by matrix_io.blocks, Z written into one reused buffer.
-    Without prep, or under mode none, the one block is A itself, made
-    C-contiguous. A column block holds two columns at least, unless A
-    has fewer: a product with one column is a dot or a gemv, which sums
-    in another order than the same column of a wider block.
-    """
-    if prep is None or prep.mode == "none":
-        yield slice(None), np.ascontiguousarray(A)
-        return
-    p, n = A.shape
-    cuts = blocks(p, n) if rows else blocks(n, p, least=2)
-    buf = np.empty(max(b.stop - b.start for b in cuts) * (n if rows else p))
-    means, scales = prep.means[:, None], prep.scales[:, None]
-    for b in cuts:
-        block = A[b] if rows else A[:, b]
-        Z = buf[: block.size].reshape(block.shape)
-        np.subtract(block, means[b] if rows else means, out=Z)
-        if prep.mode == "center_scale":  # center divides by 1, exactly
-            Z /= scales[b] if rows else scales
-        yield b, Z
 
 
 def _covariance_eigh(

@@ -32,8 +32,8 @@ ORIENTATIONS = ("rows_are_variables", "rows_are_samples")
 SPLIT_CELLS = 2**18
 
 # Cells per block (16 MB of doubles) of the passes that stream a data
-# matrix instead of copying it: the finiteness checks, the per-variable
-# standard deviations and eigen's standardized products.
+# matrix instead of copying it: the finiteness checks and the
+# standardized blocks of _standardized.
 BLOCK_CELLS = 2**21
 
 
@@ -142,10 +142,12 @@ class Preprocessing:
 
         Means, and for center_scale standard deviations with divisor n
         (population form), matching the covariance definition used
-        downstream. The deviations are taken one row block at a time, so
-        no p x n temporary is made. A row whose mean square overflows, or
-        falls below the normal doubles, is taken again in units of its
-        largest |centered| entry, s sqrt(mean((c / s)^2)).
+        downstream. The deviations are the row blocks that _standardized
+        streams under the center record of the means, the map fit and
+        predict use, so no p x n temporary is made. A row whose mean
+        square overflows, or falls below the normal doubles, is taken
+        again in units of its largest |centered| entry, s sqrt(mean((c /
+        s)^2)).
         Raises DegenerateVariable under center_scale for a row with zero
         variance, which includes every row whose entries are all equal,
         whether or not its computed mean rounds back to that value.
@@ -155,14 +157,13 @@ class Preprocessing:
         if mode == "none":
             return cls("none", np.zeros(X.p), np.ones(X.p))
         A = X.values
-        means = A.mean(axis=1)
+        center = cls("center", A.mean(axis=1), np.ones(X.p))
         if mode == "center":
-            return cls("center", means, np.ones(X.p))
+            return center
         sds = np.empty(X.p)
         normal = np.sqrt(np.finfo(np.float64).tiny)  # least sd with a normal square
-        for b in blocks(X.p, X.n):
+        for b, centered in _standardized(A, center, rows=True):
             rows = A[b]
-            centered = rows - means[b, None]
             with np.errstate(over="ignore", under="ignore"):
                 sd = np.sqrt(np.mean(centered**2, axis=1))
                 for i in np.flatnonzero(~((sd >= normal) & (sd < np.inf))):
@@ -177,7 +178,7 @@ class Preprocessing:
                 f"variable {bad[0]} has zero variance; cannot center_scale",
                 row=int(bad[0]),
             )
-        return cls("center_scale", means, sds)
+        return cls("center_scale", center.means, sds)
 
     @property
     def p(self) -> int:
@@ -185,20 +186,54 @@ class Preprocessing:
 
     def apply(self, values) -> np.ndarray:
         """Map raw data, a length-p vector or a p x m matrix, into the
-        standardized coordinates: (x - means) / scales per variable."""
+        standardized coordinates: (x - means) / scales per variable.
+
+        The map is _write's, the arithmetic of every standardized block
+        that fit, predict and the jackknife stream (_standardized), so a
+        column of apply(X) has the bits of that column in any block."""
         x = np.asarray(values, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[0] != self.p:
             raise DimensionError(
                 f"expected a length-{self.p} vector or {self.p} x m matrix, "
                 f"got shape {x.shape}"
             )
-        means, scales = self.means, self.scales
-        if x.ndim == 2:
-            means, scales = means[:, None], scales[:, None]
-        Z = x - means
-        if self.mode == "center_scale":  # other modes divide by 1, exactly
-            Z /= scales
-        return Z
+        return self._write(x, np.empty(x.shape))
+
+    def _write(self, x: np.ndarray, out: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Write (x - means[rows]) / scales[rows] into ``out`` and return
+        it, for x a vector or a matrix whose lines are the variables
+        ``rows``: the one standardizing arithmetic of the package. It
+        works on the transposes, whose last axis is the variables', so a
+        vector is taken as a p x 1 column. Only center_scale divides;
+        the other modes' scales are 1, a division that is exact."""
+        np.subtract(x.T, self.means[rows], out=out.T)
+        if self.mode == "center_scale":
+            np.divide(out.T, self.scales[rows], out=out.T)
+        return out
+
+
+def _standardized(A: np.ndarray, prep: Preprocessing | None, rows: bool):
+    """prep.apply(A) one block at a time: the one stream of data into
+    standardized coordinates, read by fit, predict, the jackknife and
+    Preprocessing.from_data's deviations.
+
+    Yields (slice, Z) for each row block (rows true) or column block of
+    A, cut by blocks, Z written by prep._write into one reused buffer.
+    Without prep, or under mode none, the one block is A itself, made
+    C-contiguous. A column block holds two columns at least, unless A
+    has fewer: a product with one column is a dot or a gemv, which sums
+    in another order than the same column of a wider block.
+    """
+    if prep is None or prep.mode == "none":
+        yield slice(None), np.ascontiguousarray(A)
+        return
+    p, n = A.shape
+    cuts = blocks(p, n) if rows else blocks(n, p, least=2)
+    buf = np.empty(max(b.stop - b.start for b in cuts) * (n if rows else p))
+    for b in cuts:
+        block = A[b] if rows else A[:, b]
+        Z = buf[: block.size].reshape(block.shape)
+        yield b, prep._write(block, Z, b if rows else slice(None))
 
 
 def _parse_csv(path) -> np.ndarray:

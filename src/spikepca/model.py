@@ -486,7 +486,7 @@ def jackknife_shrinkage(
     throughout, because its scales change with each left-out sample.
     Every refit scores its held-out sample through eigen.project, as
     predict() does. The decomposition and the downdate's scatter
-    coordinates read the standardized matrix in eigen._standardized
+    coordinates read the standardized matrix in matrix_io._standardized
     blocks, as fit() does, so no standardized copy of X is made.
     """
     if X.n < 4:

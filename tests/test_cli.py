@@ -791,23 +791,29 @@ class TestProcessExit:
 
     @pytest.mark.parametrize(
         "close",
-        # a launcher may leave fd 2 open on a file it read, which takes no writes
-        [lambda: os.close(2), lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)],
-        ids=["closed", "read_only"],
+        # a launcher may leave fd 2 open on a file it read, which takes no
+        # writes, or on a full device, which takes none either
+        [pytest.param(lambda: os.close(2), id="closed"),
+         pytest.param(lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2), id="read_only"),
+         pytest.param(lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 2), id="full",
+                      marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                               reason="no /dev/full"))],
     )
     @pytest.mark.parametrize(
-        "argv",
-        [("fit", "{train}", "--k", "2"),
-         ("simulate", "table12", "--seed", "2", "--gamma", "1", "--n", "20",
-          "--replicates", "3", "--workers", "2")],
-        ids=["fit", "table12"],
+        "code, argv",
+        [(0, ("fit", "{train}", "--k", "2")),
+         (0, ("simulate", "table12", "--seed", "2", "--gamma", "1", "--n", "20",
+              "--replicates", "3", "--workers", "2")),
+         (2, ("rescale", "{train}.missing", "--p", "3", "--n", "10")),
+         (3, ("fit", "{flat}", "--mode", "center-scale"))],
+        ids=["fit", "table12", "exit2", "exit3"],
     )
-    def test_closed_stderr_keeps_exit_code_and_stdout(self, capsys, files, argv, close):
+    def test_closed_stderr_keeps_exit_code_and_stdout(self, capsys, files, code, argv, close):
         argv = [a.format(**files) for a in argv]
-        code, out, _ = run_cli(capsys, *argv)
+        expected, out, _ = run_cli(capsys, *argv)
         result = self.spikepca(*argv, preexec_fn=close)
-        assert (result.returncode, result.stdout.decode(), result.stderr) == (0, out, b"")
-        assert code == 0
+        assert (result.returncode, result.stdout.decode(), result.stderr) == (code, out, b"")
+        assert expected == code
 
     def test_profiler_still_prints_its_table(self, files):
         result = self.spikepca(

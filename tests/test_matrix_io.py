@@ -36,6 +36,7 @@ from spikepca.matrix_io import (
     _parse_clean,
     _parse_csv,
     _scan_csv,
+    _standardized,
 )
 
 
@@ -331,6 +332,22 @@ class TestStandardize:
         sds = np.sqrt(np.mean(Y.values**2, axis=1))
         assert np.abs(sds - 1).max() < 1e-12
 
+    def test_center_scale_statistics_keep_bits_at_any_block_size(self, monkeypatch):
+        # the deviations come from the streamed row blocks; their cut
+        # changes no bit of the scales, a row near 1e200 (whose mean
+        # square overflows) and one near 1e-200 included
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((37, 23)) * 4 + 1
+        values[3] *= 1e200
+        values[8] *= 1e-200
+        X = DataMatrix(values)
+        whole = Preprocessing.from_data(X, "center_scale")
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", 2**7)
+        cut = Preprocessing.from_data(X, "center_scale")
+        assert whole.scales.tobytes() == cut.scales.tobytes()
+        assert whole.means.tobytes() == cut.means.tobytes()
+        assert np.isfinite(whole.scales).all() and whole.scales[3] > 1e199
+
 
 class TestApplyPreprocessing:
     def test_identity(self):
@@ -359,6 +376,48 @@ class TestApplyPreprocessing:
         x = np.array([[3.0, 5.0], [6.0, 10.0]])
         np.testing.assert_array_equal(prep.apply(x), [[1.0, 2.0], [1.0, 2.0]])
         np.testing.assert_array_equal(x, [[3.0, 5.0], [6.0, 10.0]])
+
+    def test_vector_is_a_column(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(5) * 3
+        for mode in ("none", "center", "center_scale"):
+            prep = Preprocessing.from_data(DataMatrix(rng.standard_normal((5, 4)) + 2), mode)
+            v = prep.apply(x)
+            assert v.shape == (5,)
+            assert v.tobytes() == prep.apply(x[:, None])[:, 0].tobytes()
+
+    def test_no_columns(self):
+        prep = Preprocessing("center_scale", np.array([1.0, 2.0]), np.array([2.0, 4.0]))
+        Z = prep.apply(np.empty((2, 0)))
+        assert Z.shape == (2, 0) and Z.dtype == np.float64
+
+    @pytest.mark.parametrize("cells", [2**7, spikepca.matrix_io.BLOCK_CELLS])
+    @pytest.mark.parametrize("mode", ["none", "center", "center_scale"])
+    @pytest.mark.parametrize("shape", [(37, 23), (100, 7), (3, 2)])
+    def test_streamed_blocks_reassemble_apply(self, monkeypatch, shape, mode, cells):
+        # fit, predict and the jackknife read the standardized matrix in
+        # _standardized's row or column blocks; put back together, either
+        # cut is prep.apply(A) bit for bit
+        monkeypatch.setattr(spikepca.matrix_io, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(shape[0])
+        A = rng.standard_normal(shape) * rng.uniform(0.5, 9, (shape[0], 1)) + 3
+        A[0] *= 1e200
+        A[-1] *= 1e-200
+        prep = Preprocessing.from_data(DataMatrix(A), mode)
+        whole = prep.apply(A)
+        for rows in (True, False):
+            cut = np.full_like(A, np.nan)
+            count = 0
+            for b, Z in _standardized(A, prep, rows):
+                assert Z.flags.c_contiguous
+                if rows:
+                    cut[b] = Z
+                else:
+                    cut[:, b] = Z
+                count += 1
+            assert cut.tobytes() == whole.tobytes()
+            if cells == 2**7 and mode != "none" and shape != (3, 2):
+                assert count > 1
 
     def test_length_mismatch(self):
         prep = Preprocessing("center", np.zeros(3), np.ones(3))
