@@ -20,7 +20,7 @@ from . import simulate
 from .errors import INPUT_ERRORS, DimensionError, DomainError, ParseError, SpikePcaError
 from .matrix_io import DataMatrix, _csv, _fmt, _parse_csv
 from .model import fit, jackknife_shrinkage, predict, read_model, write_model
-from .spiked import rescale_eigenvalues
+from .spiked import _MAX_COUNT, rescale_eigenvalues
 
 _MODE_CHOICES = {"none": "none", "center": "center", "center-scale": "center_scale"}
 
@@ -67,8 +67,7 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    # rescaling takes p and n as doubles, which hold every integer up to 2**53
-    if count > 2**53:
+    if count > _MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be <= 2**53, got {count}")
     return count
 

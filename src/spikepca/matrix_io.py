@@ -109,6 +109,22 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+def _check_statistics(mode: str, means, scales, error, where) -> None:
+    """Raise ``error`` for the first statistic that a Preprocessing of
+    ``mode`` cannot hold: a scale not above 0, or under mode none a mean
+    other than 0 or a scale other than 1. ``where(name, i)`` places
+    entry i of the "means" or "scales" in the message."""
+    rules = [("scales", scales, ~(scales > 0), "positive")]
+    if mode == "none":
+        rules += [("means", means, means != 0, "0, as mode none requires"),
+                  ("scales", scales, scales != 1, "1, as mode none requires")]
+    for name, values, bad, requirement in rules:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(f"{name[:-1]} {_fmt(values[i])} {where(name, i)} "
+                        f"is not {requirement}")
+
+
 @dataclass(frozen=True)
 class Preprocessing:
     """Per-variable statistics applied before analysis.
@@ -129,10 +145,8 @@ class Preprocessing:
         scales = np.asarray(self.scales, dtype=np.float64)
         if means.shape != scales.shape or means.ndim != 1:
             raise DimensionError("means and scales must be 1-D of equal length")
-        if not (scales > 0).all():
-            raise ValueError("scales must be strictly positive")
-        if self.mode == "none" and ((means != 0).any() or (scales != 1).any()):
-            raise ValueError("mode 'none' requires zero means and unit scales")
+        _check_statistics(self.mode, means, scales, ValueError,
+                          lambda name, i: f"of variable {i}")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "scales", scales)
 

@@ -41,6 +41,7 @@ from .matrix_io import (
     MODES,
     DataMatrix,
     Preprocessing,
+    _check_statistics,
     _csv,
     _fmt,
     all_finite,
@@ -282,26 +283,6 @@ def _require_finite(values: np.ndarray, where: str) -> None:
         raise FormatError(f"non-finite value {float(values[bad][0])} in {where}")
 
 
-def _check_preprocessing(mode: str, means: np.ndarray, scales: np.ndarray) -> None:
-    """FormatError, naming the section and line, for statistics that
-    Preprocessing rejects: a scale not above 0, or under mode none a
-    mean other than 0 or a scale other than 1."""
-    bad = np.flatnonzero(~(scales > 0))
-    if bad.size:
-        raise FormatError(
-            f"scale {_fmt(scales[bad[0]])} in [scales] line {bad[0] + 1} is not positive"
-        )
-    if mode != "none":
-        return
-    for name, values, identity in (("means", means, 0.0), ("scales", scales, 1.0)):
-        bad = np.flatnonzero(values != identity)
-        if bad.size:
-            raise FormatError(
-                f"{name[:-1]} {_fmt(values[bad[0]])} in [{name}] line {bad[0] + 1} "
-                f"is not {_fmt(identity)}, as mode none requires"
-            )
-
-
 def read_model(path) -> FittedPcModel:
     """Read a model written by write_model. Inverse up to exact floats.
 
@@ -395,7 +376,8 @@ def read_model(path) -> FittedPcModel:
 
     means = table("means", p, 1)[:, 0]
     scales = table("scales", p, 1)[:, 0]
-    _check_preprocessing(mode, means, scales)
+    _check_statistics(mode, means, scales, FormatError,
+                      lambda name, i: f"in [{name}] line {i + 1}")
     d, d_hat, lambda_hat = table("eigenvalues", m, 3).T
     U = np.column_stack([table(f"eigenvector {v + 1}", p, 1) for v in range(k)])
     stored = table("adjustment", k, 3)

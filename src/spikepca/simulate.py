@@ -27,6 +27,7 @@ from .errors import (
 from .matrix_io import DataMatrix, _csv
 from .model import component_estimates, fit, pcr_fit, pcr_mse, pcr_predict, predict
 from .spiked import (
+    _MAX_COUNT,
     eigenvector_angle,
     rescale_eigenvalues,
     score_angle,
@@ -117,12 +118,9 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
     the spikes sit exactly at s1 and s2 and the leading population
     eigenvectors are the first two coordinate axes.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    if n < 4:
-        raise DimensionError(f"need n >= 4, got {n}")
-    if not (math.isfinite(gamma * n) and 3 <= _two_spike_p(gamma, n) <= 2**53):
-        raise DimensionError(f"gamma * n = {gamma * n:g} must round to a p in [3, 2**53]")
+    problem = _two_spike_problem(gamma, n)
+    if problem is not None:
+        raise problem[0](f"{problem[1]}; got gamma={gamma}, n={n}")
     p = _two_spike_p(gamma, n)
     rng = _as_rng(seed, "two_spike")
     spike1, spike2 = two_spike_eigenvalues(gamma)
@@ -135,6 +133,18 @@ def gen_two_spike(n: int, gamma: float, seed=0) -> DataMatrix:
 def _two_spike_p(gamma: float, n: int) -> int:
     """Variable count of the two-spike design with n samples."""
     return int(round(gamma * n))
+
+
+def _two_spike_problem(gamma: float, n: int) -> tuple[type, str] | None:
+    """The first rule a two-spike cell breaks, as (error class, reason),
+    or None: the one cell rule of gen_two_spike and run_table12."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        return DomainError, "gamma must be positive and finite"
+    if n < 4:
+        return DimensionError, "need n >= 4"
+    if not (math.isfinite(gamma * n) and 3 <= _two_spike_p(gamma, n) <= _MAX_COUNT):
+        return DimensionError, "gamma * n must round to a finite p in [3, 2**53]"
+    return None
 
 
 def _two_spike_proxy(rng: np.random.Generator, gamma: float, n: int) -> np.ndarray:
@@ -182,12 +192,9 @@ def gen_pcr(n: int, g: int, p: int = 5000, seed=0) -> tuple[DataMatrix, np.ndarr
     N(0, 2^2). The outcome is twice the mean of the informative block
     plus N(0, 1) noise.
     """
-    if n % 2 != 0:
-        raise DomainError(f"n must be even, got {n}")
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    if not 1 <= g < p:
-        raise DomainError(f"g must satisfy 1 <= g < p, got g={g}, p={p}")
+    problem = _pcr_problem(n, g, p)
+    if problem is not None:
+        raise problem[0](f"{problem[1]}; got n={n}, g={g}, p={p}")
     rng = _as_rng(seed, "pcr")
     X = np.empty((p, n))
     X[:g, : n // 2] = 3.0
@@ -196,6 +203,22 @@ def gen_pcr(n: int, g: int, p: int = 5000, seed=0) -> tuple[DataMatrix, np.ndarr
     X += 2.0 * standard_normal(rng, (p, n))
     y = (2.0 / g) * X[:g].sum(axis=0) + standard_normal(rng, n)
     return DataMatrix(X), y
+
+
+def _pcr_problem(n: int, g: int, p: int) -> tuple[type, str] | None:
+    """The first rule a PCR cell breaks, as (error class, reason), or
+    None: the one cell rule of gen_pcr and run_table3. n is even, and
+    at least 4 because each replicate fits its n training samples and
+    fit needs 3."""
+    if n < 2:
+        return DimensionError, "need n >= 2"
+    if n % 2:
+        return DomainError, "n must be even"
+    if n < 4:
+        return DimensionError, "need n >= 4: each replicate fits its n training samples"
+    if not 1 <= g < p:
+        return DomainError, f"g must satisfy 1 <= g < p={p}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +487,18 @@ def run_table12(
     values. Replicates where a component is classified as noise
     contribute no plug-in value (the `used` count reflects it). Each
     replicate draws the rotated data of _two_spike_proxy instead of the
-    p x n matrices. Raises ValueError for a cell gen_two_spike would
-    reject, or whose p exceeds 2**53, before any draw. ``workers``
-    processes share each cell's replicates (see _run_study); the report
-    is the same at any count.
+    p x n matrices. Raises ValueError, before any draw, for a cell that
+    breaks the rule gen_two_spike applies (_two_spike_problem).
+    ``workers`` processes share each cell's replicates (see _run_study);
+    the report is the same at any count.
     """
     grid = [{"gamma": float(gamma), "n": int(n)} for gamma in gammas for n in ns]
     for cell in grid:
-        gamma, n = cell["gamma"], cell["n"]
-        if not (math.isfinite(gamma) and gamma > 0):
-            problem = "gamma must be positive and finite"
-        elif n < 4:
-            problem = "need n >= 4"
-        elif not (math.isfinite(gamma * n) and 3 <= _two_spike_p(gamma, n) <= 2**53):
-            # rescaling takes p as a double, which holds every integer up to 2**53
-            problem = "gamma * n must round to a finite p in [3, 2**53]"
-        else:
-            continue
-        raise ValueError(f"table12 cell gamma={gamma:g}, n={n}: {problem}")
+        problem = _two_spike_problem(**cell)
+        if problem is not None:
+            raise ValueError(
+                f"table12 cell gamma={cell['gamma']:g}, n={cell['n']}: {problem[1]}"
+            )
     return _run_study(
         "two_spike", _two_spike_replicate, _TWO_SPIKE_KEYS, grid, replicates, seed,
         workers, analytic=_two_spike_analytic,
@@ -519,22 +536,15 @@ def run_table3(
     (n, g) configuration, fit a one-component model on the centered
     train set, regress the outcome on the first PC score, and evaluate
     test MSE using naive and bias-adjusted predicted scores. Raises
-    ValueError for a cell gen_pcr would reject, before any draw.
-    ``workers`` processes share each cell's replicates (see _run_study);
-    the report is the same at any count.
+    ValueError, before any draw, for a cell that breaks the rule gen_pcr
+    applies (_pcr_problem). ``workers`` processes share each cell's
+    replicates (see _run_study); the report is the same at any count.
     """
     grid = [{"n": int(n), "g": int(g), "p": p} for n, g in cells]
     for cell in grid:
-        n, g = cell["n"], cell["g"]
-        if n < 2:
-            problem = "need n >= 2"
-        elif n % 2:
-            problem = "n must be even"
-        elif not 1 <= g < p:
-            problem = f"g must satisfy 1 <= g < p={p}"
-        else:
-            continue
-        raise ValueError(f"table3 cell n={n}, g={g}: {problem}")
+        problem = _pcr_problem(**cell)
+        if problem is not None:
+            raise ValueError(f"table3 cell n={cell['n']}, g={cell['g']}: {problem[1]}")
     return _run_study("pcr", _pcr_replicate, _PCR_KEYS, grid, replicates, seed, workers)
 
 
@@ -550,8 +560,14 @@ def run_intro(
     shrinkage estimates and the test/train RMS score ratios, and dumps
     all four score sets (train/test x naive/adjusted) as CSV for
     plotting. The fit and predictions run with BLAS at one thread, so the
-    output does not depend on the BLAS thread count.
+    output does not depend on the BLAS thread count. Raises ValueError,
+    before any draw, unless p >= 2 and the strata hold 3 samples at
+    least, as two components are fitted.
     """
+    if p < 2:
+        raise ValueError(f"intro: p must be >= 2, got {p}")
+    if sum(n_per_stratum) < 3 or min(n_per_stratum) < 0:
+        raise ValueError(f"intro: need strata >= 0 with sum >= 3, got {n_per_stratum}")
     rng = substream(seed, _DESIGN_IDS["intro"], 0, 0)
     train, test, labels = gen_intro(n_per_stratum, p, rng)
     with one_blas_thread():

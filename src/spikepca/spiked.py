@@ -44,6 +44,9 @@ def _check_spike(spike: float) -> None:
 # The largest double whose square is finite.
 _SQRT_MAX = math.sqrt(sys.float_info.max)
 
+# The largest p or n: p / n is taken in doubles, exact up to 2**53.
+_MAX_COUNT = 2**53
+
 
 def _over_square(gamma: float, x1: float) -> float:
     """gamma / x1^2 for x1 > 0; 0 where the square would overflow, the
@@ -210,9 +213,8 @@ def rescale_eigenvalues(
     """
     if p < 1 or n < 1:
         raise DimensionError(f"p and n must be >= 1, got p={p}, n={n}")
-    # p / n is taken in doubles, which hold every integer up to 2**53
     for name, count in (("p", p), ("n", n)):
-        if count > 2**53:
+        if count > _MAX_COUNT:
             try:
                 shown = str(count)
             except ValueError:  # past the interpreter's int-to-str digit limit

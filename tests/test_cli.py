@@ -581,10 +581,18 @@ class TestSimulate:
          "table12 cell gamma=1e+300, n=10: gamma * n must round to a finite p in [3, 2**53]"),
         (("table12", "--gamma", "1e17", "--n", "10"),
          "table12 cell gamma=1e+17, n=10: gamma * n must round to a finite p in [3, 2**53]"),
+        (("table3", "--cell", "1:20"), "table3 cell n=1, g=20: need n >= 2"),
+        # used to draw its replicates, then fail unlabelled inside fit
+        (("table3", "--cell", "2:1", "--p", "3"),
+         "table3 cell n=2, g=1: need n >= 4: each replicate fits its n training samples"),
+        # two components are fitted
+        (("intro", "--p", "1"), "intro: p must be >= 2, got 1"),
+        (("intro", "--p", "0"), "intro: p must be >= 2, got 0"),
     ])
     def test_invalid_cell_exits_2(self, capsys, monkeypatch, argv, message):
         # every cell is checked before the study draws anything
         monkeypatch.setattr(spikepca.simulate, "_run_study", None)
+        monkeypatch.setattr(spikepca.simulate, "gen_intro", None)
         code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -350,6 +350,17 @@ class TestStandardize:
 
 
 class TestApplyPreprocessing:
+    @pytest.mark.parametrize("mode, means, scales, message", [
+        ("center_scale", [0.0, 1.0], [2.0, -1.0], "scale -1 of variable 1 is not positive"),
+        ("center", [0.0, 1.0], [math.nan, 1.0], "scale nan of variable 0 is not positive"),
+        ("none", [0.0, 0.5], [1.0, 1.0], "mean 0.5 of variable 1 is not 0, as mode none"),
+        ("none", [0.0, 0.0], [2.0, 1.0], "scale 2 of variable 0 is not 1, as mode none"),
+    ])
+    def test_bad_statistics_name_the_variable(self, mode, means, scales, message):
+        # the rule read_model applies to a model file's [means] and [scales]
+        with pytest.raises(ValueError, match=message):
+            Preprocessing(mode, np.array(means), np.array(scales))
+
     def test_identity(self):
         prep = Preprocessing("none", np.zeros(3), np.ones(3))
         np.testing.assert_array_equal(prep.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])

@@ -184,6 +184,33 @@ class TestSpikeRule:
         np.testing.assert_array_equal(loaded.adjustment, model.adjustment)
 
 
+class TestRescalingStall:
+    """A spectrum that one eigenvalue dominates makes the rescaling stall
+    at max_iter short of its fixed point (ROADMAP item 1(a))."""
+
+    @staticmethod
+    def noise():
+        return np.random.default_rng(0).standard_normal((1000, 200))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+    def test_common_mean_reaches_the_fixed_point(self):
+        # stops at 500 iterations with tau = 100079.82; a long iteration
+        # reaches tau = 100782.47 in 2323
+        model = fit(DataMatrix(self.noise() + 10), "none")
+        reference = rescale_eigenvalues(model.eig.d, 1000, 200, max_iter=100000)
+        assert reference.converged
+        assert model.spectrum.tau == pytest.approx(reference.tau, rel=1e-10)
+        assert model.spectrum.converged
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+    def test_three_spikes_under_a_common_mean_are_found(self):
+        # the fixed point, 235775 iterations away, has 4 spikes; the
+        # capped iterate reports 1
+        Z = self.noise()
+        Z[:3] *= np.array([6.0, 5.0, 4.0])[:, None]
+        assert fit(DataMatrix(Z + 100), "none").k_spikes == 4
+
+
 class TestPredict:
     def test_training_round_trip_matches_sample_scores(self, two_spike_model):
         X, model = two_spike_model

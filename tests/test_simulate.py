@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +172,8 @@ class TestGenTwoSpike:
     def test_p_past_2_53_rejected(self, gamma):
         # p is checked before the p x n draw is allocated; rescaling takes
         # p as a double, which holds every integer up to 2**53
-        with pytest.raises(DimensionError, match=r"must round to a p in \[3, 2\*\*53\]"):
+        message = r"must round to a finite p in \[3, 2\*\*53\]"
+        with pytest.raises(DimensionError, match=message):
             gen_two_spike(100, gamma, seed=0)
 
 
@@ -265,6 +267,28 @@ class TestEmpiricalEstimators:
             s_test = predict(model, test).naive[0]
             vals.append(empirical_shrinkage(s_train, s_test))
         assert np.mean(vals) == pytest.approx(0.51, abs=0.04)
+
+
+# Cells each study rejects before any draw, with the driver's message
+# when the cell follows a good one (gamma=1 and n=20, or n=30 and g=5).
+TABLE12_BAD_CELLS = [
+    (-1.0, 20, "table12 cell gamma=-1, n=20: gamma must be positive"),
+    (0.0, 20, "table12 cell gamma=0, n=20: gamma must be positive"),
+    (math.inf, 20, "table12 cell gamma=inf, n=20: gamma must be positive"),
+    (math.nan, 20, "table12 cell gamma=nan, n=20: gamma must be positive"),
+    (100.0, 2, "table12 cell gamma=1, n=2: need n >= 4"),
+    (0.1, 20, "table12 cell gamma=0.1, n=20: gamma \\* n must round to a finite p"),
+    (1e308, 20, "cell gamma=1e\\+308, n=20: gamma \\* n must round to a finite p"),
+]
+TABLE3_BAD_CELLS = [
+    (11, 20, 200, "table3 cell n=11, g=20: n must be even"),
+    (0, 20, 200, "table3 cell n=0, g=20: need n >= 2"),
+    (1, 20, 200, "table3 cell n=1, g=20: need n >= 2"),
+    # even, but fit needs 3 training samples
+    (2, 1, 200, "table3 cell n=2, g=1: need n >= 4: each replicate fits its n"),
+    (10, 20, 10, "table3 cell n=10, g=20: g must satisfy 1 <= g < p=10"),
+    (10, 0, 200, "table3 cell n=10, g=0: g must satisfy 1 <= g < p=200"),
+]
 
 
 class TestDrivers:
@@ -438,31 +462,55 @@ class TestDrivers:
                 run_table3(cells=((30, 20),), replicates=1, seed=1, p=200,
                            workers=workers)
 
-    @pytest.mark.parametrize("gamma, n, message", [
-        (-1.0, 20, "table12 cell gamma=-1, n=20: gamma must be positive"),
-        (0.0, 20, "table12 cell gamma=0, n=20: gamma must be positive"),
-        (math.inf, 20, "table12 cell gamma=inf, n=20: gamma must be positive"),
-        (math.nan, 20, "table12 cell gamma=nan, n=20: gamma must be positive"),
-        (100.0, 2, "table12 cell gamma=1, n=2: need n >= 4"),
-        (0.1, 20, "table12 cell gamma=0.1, n=20: gamma \\* n must round to a finite p"),
-        (1e308, 20, "cell gamma=1e\\+308, n=20: gamma \\* n must round to a finite p"),
+    @pytest.mark.parametrize("p, strata, message", [
+        (1, (50, 30, 20), "intro: p must be >= 2, got 1"),
+        (20, (1, 1), r"intro: need strata >= 0 with sum >= 3, got \(1, 1\)"),
+        (20, (), r"with sum >= 3, got \(\)"),
+        (20, (5, -1, 3), r"strata >= 0 with sum >= 3, got \(5, -1, 3\)"),
     ])
+    def test_intro_validation(self, monkeypatch, p, strata, message):
+        # two components are fitted; checked before any draw
+        monkeypatch.setattr(simulate, "gen_intro", None)
+        with pytest.raises(ValueError, match=message):
+            run_intro(seed=1, p=p, n_per_stratum=strata)
+
+    @pytest.mark.parametrize("gamma, n, message", TABLE12_BAD_CELLS)
     def test_table12_grid_validation(self, monkeypatch, gamma, n, message):
         # a bad cell anywhere in the grid is rejected before any draw
         monkeypatch.setattr(simulate, "_run_study", None)
         with pytest.raises(ValueError, match=message):
             run_table12(gammas=(1.0, gamma), ns=(20, n), seed=1)
 
-    @pytest.mark.parametrize("n, g, p, message", [
-        (11, 20, 200, "table3 cell n=11, g=20: n must be even"),
-        (0, 20, 200, "table3 cell n=0, g=20: need n >= 2"),
-        (10, 20, 10, "table3 cell n=10, g=20: g must satisfy 1 <= g < p=10"),
-        (10, 0, 200, "table3 cell n=10, g=0: g must satisfy 1 <= g < p=200"),
-    ])
+    @pytest.mark.parametrize("n, g, p, message", TABLE3_BAD_CELLS)
     def test_table3_grid_validation(self, monkeypatch, n, g, p, message):
         monkeypatch.setattr(simulate, "_run_study", None)
         with pytest.raises(ValueError, match=message):
             run_table3(cells=((30, 5), (n, g)), seed=1, p=p)
+
+    @pytest.mark.parametrize("drive, generate", [
+        *(pytest.param(partial(run_table12, gammas=(gamma,), ns=(n,), seed=1),
+                       partial(gen_two_spike, n, gamma, seed=1),
+                       id=f"table12-{gamma}-{n}")
+          for gamma, n, _ in TABLE12_BAD_CELLS),
+        *(pytest.param(partial(run_table3, cells=((n, g),), seed=1, p=p),
+                       partial(gen_pcr, n, g, p, seed=1),
+                       id=f"table3-{n}-{g}-{p}")
+          for n, g, p, _ in TABLE3_BAD_CELLS),
+    ])
+    def test_generator_rejects_a_bad_cell_for_the_drivers_reason(
+        self, monkeypatch, drive, generate
+    ):
+        # one cell rule serves a study's driver and its generator: the
+        # driver's reason, after its cell label, is the generator's, before
+        # the cell's values
+        monkeypatch.setattr(simulate, "_run_study", None)
+        monkeypatch.setattr(simulate, "standard_normal", None)
+        with pytest.raises(ValueError) as driver:
+            drive()
+        with pytest.raises((DimensionError, DomainError)) as generator:
+            generate()
+        reason = str(driver.value).split(": ", 1)[1]
+        assert str(generator.value).split("; got ")[0] == reason
 
 
 def assert_no_child():
